@@ -1,19 +1,11 @@
-"""Pure-Python kernels: the fallback twins of the compiled _kernels module.
-
-Three hot loops live here:
+"""The pure-Python kernels: the two hot loops of the certificate path.
 
   farey_distance        -- graph distance between two slopes in the Farey
                            graph, via the continued-fraction run recurrence
-  fixed_slope_scan      -- brute-force enumeration of slopes fixed by an
-                           integer-scaled linear fractional map (the
-                           eigenslope oracle's inner loop)
   min_displacement_scan -- minimum Farey displacement of a map over a
                            bounded slope box
 
-The compiled twins in _kernels.pyx implement byte-for-byte the same
-algorithms over C integers; toruscert._speedups selects between them at
-import time and routes oversized inputs back here, where Python integers
-cannot overflow.
+Python integers cannot overflow, so every input height is answered exactly.
 
 Distance algorithm.  Normalize by the isometry A in SL2(Z) carrying the
 source slope to 1/0; the distance from 1/0 to p/q depends only on the
@@ -33,17 +25,17 @@ from __future__ import annotations
 
 from math import gcd
 
-__all__ = ["farey_distance", "fixed_slope_scan", "min_displacement_scan"]
+from .slopes import bezout
 
-IMPLEMENTATION = "python"
+__all__ = ["farey_distance", "min_displacement_scan"]
 
 
 def farey_distance(p1, q1, p2, q2):
     """Farey-graph distance between canonical coprime slopes p1/q1, p2/q2."""
     if p1 == p2 and q1 == q2:
         return 0
-    # Extended Euclid: x*p1 + y*q1 = 1, so [[x, y], [-q1, p1]] sends p1/q1 to 1/0.
-    x, y = _bezout(p1, q1)
+    # [[x, y], [-q1, p1]] sends p1/q1 to 1/0.
+    x, y = bezout(p1, q1)
     num = x * p2 + y * q2
     den = p1 * q2 - q1 * p2
     if den < 0:
@@ -66,21 +58,6 @@ def farey_distance(p1, q1, p2, q2):
     return dist_conv
 
 
-def _bezout(p, q):
-    """Coefficients (x, y) with x*p + y*q = gcd(p, q) = 1."""
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
-
-
 def _slope_box(bound):
     """Canonical slopes with |p|, |q| <= bound, in the fixed scan order."""
     yield (1, 0)
@@ -88,21 +65,6 @@ def _slope_box(bound):
         for p in range(-bound, bound + 1):
             if gcd(abs(p), q) == 1:
                 yield (p, q)
-
-
-def fixed_slope_scan(a, b, c, d, bound):
-    """All slopes with |p|, |q| <= bound fixed by the map (integer matrix).
-
-    The matrix is any nonzero integer multiple of the rational map being
-    interrogated (scaling does not change the action).  A slope (p, q) is
-    fixed iff its image column (a p + b q, c p + d q) is parallel to it.
-    This is the brute-force oracle: it never looks at discriminants.
-    """
-    hits = []
-    for p, q in _slope_box(bound):
-        if (a * p + b * q) * q == (c * p + d * q) * p:
-            hits.append((p, q))
-    return hits
 
 
 def min_displacement_scan(a, b, c, d, bound, stop_at):

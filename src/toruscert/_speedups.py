@@ -1,54 +1,13 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The kernel entry points that farey.distance and certify.map_distance call.
 
-The compiled kernels run on C int64, so the wrappers here enforce magnitude
-guards under which every intermediate value provably fits; anything larger
-is routed to the pure-Python twins, whose integers cannot overflow.  Set
-TORUSCERT_PURE_PYTHON=1 to force the fallback (the benchmark uses this).
+Callers look the kernels up here as module attributes, so a profiler can
+rebind them in one place.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernels_py import farey_distance, min_displacement_scan
 
-from . import _kernels_py
+__all__ = ["ACTIVE_IMPLEMENTATION", "farey_distance", "min_displacement_scan"]
 
-if os.environ.get("TORUSCERT_PURE_PYTHON") == "1":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
-
-ACTIVE_IMPLEMENTATION = _impl.IMPLEMENTATION
-
-# Bezout coefficients are bounded by the inputs, so the normalized numerator
-# in farey_distance is at most 2 * H(s) * H(t); keep that below 2**62.
-_HEIGHT_LIMIT = 1 << 30
-
-
-def farey_distance(p1, q1, p2, q2):
-    if _impl is not _kernels_py and (
-        max(abs(p1), q1) >= _HEIGHT_LIMIT or max(abs(p2), q2) >= _HEIGHT_LIMIT
-    ):
-        return _kernels_py.farey_distance(p1, q1, p2, q2)
-    return _impl.farey_distance(p1, q1, p2, q2)
-
-
-def fixed_slope_scan(a, b, c, d, bound):
-    if _impl is not _kernels_py:
-        mag = max(abs(a) + abs(b), abs(c) + abs(d))
-        # (a p + b q) * q stays below mag * bound^2.
-        if mag * bound * bound >= 1 << 62:
-            return _kernels_py.fixed_slope_scan(a, b, c, d, bound)
-    return _impl.fixed_slope_scan(a, b, c, d, bound)
-
-
-def min_displacement_scan(a, b, c, d, bound, stop_at):
-    if _impl is not _kernels_py:
-        mag = max(abs(a) + abs(b), abs(c) + abs(d))
-        # Image heights reach mag * bound; the distance kernel then forms
-        # products of two heights, so keep 2 * bound * (mag * bound) small.
-        if 2 * mag * bound * bound >= 1 << 61 or mag * bound >= _HEIGHT_LIMIT:
-            return _kernels_py.min_displacement_scan(a, b, c, d, bound, stop_at)
-    return _impl.min_displacement_scan(a, b, c, d, bound, stop_at)
+ACTIVE_IMPLEMENTATION = "python"

@@ -265,14 +265,40 @@ def collection_report_to_json(report):
     }
 
 
-def _recompute_certificate_json(data):
-    phi = matrix_from_json(data["gluing"], integral=True)
-    entries = [
-        (classmap_from_json(e["class_map"]), e["result"]["search_bound"])
-        for e in data["per_class"]
-    ]
+def _field(record, key, what):
+    """record[key], or InvalidInputError naming the report part that lacks it."""
+    if not isinstance(record, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    if key not in record:
+        raise InvalidInputError(f"{what} has no {key!r} field")
+    return record[key]
+
+
+def _list_field(record, key, what):
+    value = _field(record, key, what)
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} field {key!r} must be a list")
+    return value
+
+
+def _parse_certificate_json(data):
+    """The gluing and the (class map, search bound) entries of a certificate."""
+    phi = matrix_from_json(_field(data, "gluing", "certificate"), integral=True)
+    entries = []
+    for e in _list_field(data, "per_class", "certificate"):
+        cm = classmap_from_json(_field(e, "class_map", "per-class entry"))
+        result = _field(e, "result", "per-class entry")
+        bound = _field(result, "search_bound", "per-class result")
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise InvalidInputError(f"search bound must be an integer, got {bound!r}")
+        entries.append((cm, bound))
     if not entries:
         raise InvalidInputError("certificate has no per-class entries")
+    return phi, entries
+
+
+def _recompute_certificate_json(data):
+    phi, entries = _parse_certificate_json(data)
     per_class = []
     for cm, bound in entries:
         per_class.append((cm, map_distance(compose(phi, cm.phi), bound)))
@@ -282,6 +308,46 @@ def _recompute_certificate_json(data):
             gluing=phi, per_class=tuple(per_class), c_distance_lower_bound=lower
         )
     )
+
+
+def _recompute_collection_json(data):
+    orderings = _list_field(data, "orderings", "collection report")
+    if not orderings:
+        raise InvalidInputError("collection report has no orderings")
+    parsed = []
+    bounds = set()
+    for o in orderings:
+        label = _field(o, "label", "ordering")
+        certificates = _list_field(o, "certificates", "ordering")
+        if not certificates:
+            raise InvalidInputError(f"ordering {label!r} has no certificates")
+        gluings = []
+        for cert in certificates:
+            phi, entries = _parse_certificate_json(cert)
+            cert_bounds = {bound for _, bound in entries}
+            if len(cert_bounds) != 1:
+                raise InvalidInputError(
+                    "certificate mixes search bounds; cannot recompute"
+                )
+            bounds |= cert_bounds
+            gluings.append((phi, [cm for cm, _ in entries]))
+        parsed.append((label, gluings))
+    if len(bounds) != 1:
+        raise InvalidInputError("collection mixes search bounds; cannot recompute")
+    return collection_report_to_json(collection_distance(parsed, bounds.pop()))
+
+
+def _recompute_power_report_json(data):
+    from .anosov import power_bound, power_report_to_json
+
+    what = "power-bound report"
+    sigma = matrix_from_json(_field(data, "sigma", what), integral=True)
+    psi = matrix_from_json(_field(data, "psi", what), integral=True)
+    classes = [
+        classmap_from_json(_field(e, "class_map", "per-class entry"))
+        for e in _list_field(data, "per_class", what)
+    ]
+    return power_report_to_json(power_bound(sigma, psi, classes))
 
 
 def verify_report(data):
@@ -298,36 +364,7 @@ def verify_report(data):
     if kind == "distance-certificate":
         return _recompute_certificate_json(data) == data
     if kind == "collection-report":
-        orderings = []
-        for o in data.get("orderings", []):
-            gluings = []
-            for cert in o["certificates"]:
-                phi = matrix_from_json(cert["gluing"], integral=True)
-                classes = [
-                    classmap_from_json(e["class_map"]) for e in cert["per_class"]
-                ]
-                bounds = {e["result"]["search_bound"] for e in cert["per_class"]}
-                if len(bounds) != 1:
-                    raise InvalidInputError(
-                        "certificate mixes search bounds; cannot recompute"
-                    )
-                gluings.append((phi, classes, bounds.pop()))
-            orderings.append((o["label"], gluings))
-        bound_set = {b for _, gl in orderings for _, _, b in gl}
-        if len(bound_set) != 1:
-            raise InvalidInputError("collection mixes search bounds; cannot recompute")
-        bound = bound_set.pop()
-        report = collection_distance(
-            [(label, [(phi, classes) for phi, classes, _ in gl]) for label, gl in orderings],
-            bound,
-        )
-        return collection_report_to_json(report) == data
+        return _recompute_collection_json(data) == data
     if kind == "power-bound-report":
-        from .anosov import power_bound, power_report_to_json
-
-        sigma = matrix_from_json(data["sigma"], integral=True)
-        psi = matrix_from_json(data["psi"], integral=True)
-        classes = [classmap_from_json(e["class_map"]) for e in data["per_class"]]
-        report = power_bound(sigma, psi, classes)
-        return power_report_to_json(report) == data
+        return _recompute_power_report_json(data) == data
     raise InvalidInputError(f"unknown report kind {kind!r}")

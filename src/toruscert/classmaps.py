@@ -22,6 +22,7 @@ from .errors import (
 from .matrices import PrimitiveClass, UnimodularQ, compose
 from .normal import curve_types, from_slope
 from .serialize import matrix_from_json, matrix_to_json
+from .slopes import bezout
 
 __all__ = [
     "SurfaceBoundaryData",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 PROVENANCES = ("single-slope", "two-surface", "external")
+
+
+def _is_int(x):
+    # bool is an int subclass, but True is not a count or a curve type.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,15 @@ class ClassMap:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
-        if self.complexity_bound < 0:
-            raise InvalidInputError("complexity bound must be a natural number")
+        if not _is_int(self.complexity_bound) or self.complexity_bound < 0:
+            raise InvalidInputError(
+                "complexity bound must be a natural number, "
+                f"got {self.complexity_bound!r}"
+            )
         if self.type_pair is not None:
-            t1, t2 = self.type_pair
-            if t1 not in (1, 2, 3) or t2 not in (1, 2, 3):
+            if len(self.type_pair) != 2 or any(
+                not _is_int(t) or t not in (1, 2, 3) for t in self.type_pair
+            ):
                 raise InvalidInputError(f"bad type pair {self.type_pair!r}")
 
     @classmethod
@@ -162,19 +172,9 @@ def _complete_to_basis(s):
     the analogous normalization 0 <= v < q gives u = -1, v = 0.
     """
     p, q = s.p, s.q
-    # Extended Euclid on (p, q).
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    # p*old_x + q*old_y = 1, so (u, v) = (-old_y, old_x) solves p v - q u = 1.
-    u0, v0 = -old_y, old_x
+    x, y = bezout(p, q)
+    # p*x + q*y = 1, so (u, v) = (-y, x) solves p v - q u = 1.
+    u0, v0 = -y, x
     if p != 0:
         u = u0 % abs(p)
         t = (u - u0) // p

@@ -119,6 +119,12 @@ def _load_classes(path):
     return [classmap_from_json(record) for record in data]
 
 
+def _records(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise InvalidInputError(f"{what} must be a list of JSON objects")
+    return value
+
+
 def _default_bound():
     raw = os.environ.get("TORUSCERT_SEARCH_BOUND")
     if raw is None:
@@ -235,12 +241,17 @@ def _cmd_certify_collection(args):
     if bound is None:
         bound = _default_bound()
     orderings = []
-    for entry in spec["orderings"]:
+    for entry in _records(spec["orderings"], "collection spec 'orderings'"):
         label = entry.get("label", f"ordering-{len(orderings)}")
         gluings = []
-        for g in entry.get("gluings", []):
+        for g in _records(entry.get("gluings", []), f"gluings of {label!r}"):
+            if "phi" not in g:
+                raise InvalidInputError(f"a gluing of {label!r} has no 'phi' matrix")
             phi = matrix_from_json(g["phi"], integral=True)
-            classes = [classmap_from_json(r) for r in g.get("classes", [])]
+            classes = [
+                classmap_from_json(r)
+                for r in _records(g.get("classes", []), f"classes of {label!r}")
+            ]
             gluings.append((phi, classes))
         orderings.append((label, gluings))
     report = collection_distance(orderings, bound)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import _speedups
 from .errors import InvalidInputError, NoPathWithinBoundError
-from .slopes import Slope, intersection_number
+from .slopes import Slope, bezout, intersection_number
 
 __all__ = [
     "FareyPath",
@@ -55,21 +55,6 @@ class FareyPath:
         if len(set(verts)) != len(verts):
             return False
         return all(is_edge(a, b) for a, b in zip(verts, verts[1:]))
-
-
-def _normalizer_to_infinity(s):
-    """Entries (x, y) with x*p + y*q = 1; [[x, y], [-q, p]] maps s to 1/0."""
-    old_r, r = s.p, s.q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
 
 
 def _parents(p, q):
@@ -112,7 +97,8 @@ def geodesic(s, t):
     """
     if s == t:
         return FareyPath((s,))
-    x, y = _normalizer_to_infinity(s)
+    # [[x, y], [-q, p]] maps s to 1/0.
+    x, y = bezout(s.p, s.q)
     up = x * t.p + y * t.q
     uq = s.p * t.q - s.q * t.p
     if uq < 0:

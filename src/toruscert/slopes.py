@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 
-__all__ = ["Slope", "slope_normalize", "intersection_number", "INFINITY"]
+__all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
 
 
 def _as_int(x):
@@ -126,3 +126,22 @@ def slope_normalize(p, q):
 def intersection_number(s, t):
     """Minimal geometric intersection number of two slopes: |p q' - q p'|."""
     return abs(s.p * t.q - s.q * t.p)
+
+
+def bezout(p, q):
+    """Coefficients (x, y) with x*p + y*q = 1 for coprime integers p, q.
+
+    Extended Euclid, with the sign fixed so the gcd comes out as +1; then
+    [[x, y], [-q, p]] is an SL2(Z) matrix sending the slope p/q to 1/0.
+    """
+    old_r, r = p, q
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_x, x = x, old_x - quot * x
+        old_y, y = y, old_y - quot * y
+    if old_r < 0:
+        old_x, old_y = -old_x, -old_y
+    return old_x, old_y

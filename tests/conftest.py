@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and brute-force oracles for the test suite.
 
 Everything is seeded per test, so failures reproduce exactly.
 """
@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from toruscert._kernels_py import _slope_box
 from toruscert.matrices import UnimodularQ, UnimodularZ
 from toruscert.slopes import Slope
 
@@ -58,6 +59,21 @@ def random_primitive_vector(rng, bound=20):
         y = rng.randint(-bound, bound)
         if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1:
             return (x, y)
+
+
+def fixed_slope_scan(a, b, c, d, bound):
+    """All slopes with |p|, |q| <= bound fixed by the map (integer matrix).
+
+    The matrix is any nonzero integer multiple of the rational map being
+    interrogated (scaling does not change the action).  A slope (p, q) is
+    fixed iff its image column (a p + b q, c p + d q) is parallel to it.
+    This is the brute-force oracle: it never looks at discriminants.
+    """
+    hits = []
+    for p, q in _slope_box(bound):
+        if (a * p + b * q) * q == (c * p + d * q) * p:
+            hits.append((p, q))
+    return hits
 
 
 @pytest.fixture

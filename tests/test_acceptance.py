@@ -15,13 +15,13 @@ from itertools import product
 from math import gcd
 
 from tests.conftest import (
+    fixed_slope_scan,
     random_hyperbolic_z,
     random_primitive_vector,
     random_slope,
     random_unimodular_q,
     random_unimodular_z,
 )
-from toruscert import _speedups
 from toruscert.anosov import power_bound, trace_sequence
 from toruscert.certify import c_distance, trace_criterion, verify_report
 from toruscert.classmaps import (
@@ -103,7 +103,7 @@ def test_03_eigenslope_exactness():
         eig = rational_eigenslopes(m)
         d = denominator(m)
         scaled = tuple(int(x * d) for x in m.entries())
-        brute = {Slope(p, q) for p, q in _speedups.fixed_slope_scan(*scaled, 200)}
+        brute = {Slope(p, q) for p, q in fixed_slope_scan(*scaled, 200)}
         if eig.fixes_all:
             box_size = len(slope_box(200))
             if len(brute) != box_size:

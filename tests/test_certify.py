@@ -1,6 +1,6 @@
 import pytest
 
-from tests.conftest import random_unimodular_q, random_unimodular_z
+from tests.conftest import fixed_slope_scan, random_unimodular_q, random_unimodular_z
 from toruscert.certify import (
     c_distance,
     certificate_to_json,
@@ -61,7 +61,6 @@ def test_map_distance_rotation():
 
 
 def test_map_distance_dichotomy_vs_brute_force(rng):
-    from toruscert import _speedups
     from toruscert.matrices import denominator
 
     for _ in range(100):
@@ -69,7 +68,7 @@ def test_map_distance_dichotomy_vs_brute_force(rng):
         r = map_distance(m, 10)
         d = denominator(m)
         scaled = tuple(int(x * d) for x in m.entries())
-        brute = _speedups.fixed_slope_scan(*scaled, 200)
+        brute = fixed_slope_scan(*scaled, 200)
         if r.lower_bound == 0:
             from toruscert.matrices import lft_apply
 

@@ -212,3 +212,47 @@ def test_search_bound_env(identity_classes, tmp_path):
     )
     cert = json.loads(r.stdout)
     assert cert["per_class"][0]["result"]["search_bound"] == 7
+
+
+def assert_rejected(r):
+    assert r.returncode == 1
+    assert json.loads(r.stderr)["status"] == "invalid-input"
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"complexity_bound": "x"}, {"complexity_bound": True}, {"type_pair": [True, 2]}],
+    ids=["complexity-bound-string", "complexity-bound-bool", "type-pair-bool"],
+)
+def test_certify_gluing_rejects_bad_class_record(tmp_path, field):
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps([dict({"phi": [["1", "0"], ["0", "1"]]}, **field)]))
+    assert_rejected(
+        run_cli("certify", "gluing", "--phi", "[[0,1],[-1,0]]", "--classes", str(path))
+    )
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"kind": "distance-certificate"},
+        {"kind": "power-bound-report"},
+        {"kind": "collection-report", "orderings": []},
+    ],
+    ids=["certificate-without-gluing", "power-report-without-sigma", "no-orderings"],
+)
+def test_certify_verify_rejects_malformed_report(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    r = run_cli("certify", "verify", str(path))
+    assert_rejected(r)
+    assert "search bounds" not in r.stderr
+
+
+def test_certify_collection_rejects_gluing_without_phi(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"orderings": [{"gluings": [{"classes": []}]}]}))
+    r = run_cli("certify", "collection", "--spec", str(path))
+    assert_rejected(r)
+    assert "'phi'" in json.loads(r.stderr)["error"]

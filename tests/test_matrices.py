@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tests.conftest import (
+    fixed_slope_scan,
     random_primitive_vector,
     random_slope,
     random_unimodular_q,
@@ -136,14 +137,12 @@ def test_eigenslopes_irrational_discriminant():
 
 def test_eigenslopes_vs_brute_force(rng):
     # s is an eigenslope iff the action fixes s, over |p|, |q| <= 100
-    from toruscert import _speedups
-
     for _ in range(60):
         m = random_unimodular_q(rng)
         eig = rational_eigenslopes(m)
         d = denominator(m)
         scaled = tuple(int(x * d) for x in m.entries())
-        brute = {Slope(p, q) for p, q in _speedups.fixed_slope_scan(*scaled, 100)}
+        brute = {Slope(p, q) for p, q in fixed_slope_scan(*scaled, 100)}
         if eig.fixes_all:
             continue
         exact = {s for s in eig.slopes if abs(s.p) <= 100 and s.q <= 100}
