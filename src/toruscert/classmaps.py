@@ -81,6 +81,33 @@ class ClassMap:
                 not _is_int(t) or t not in (1, 2, 3) for t in self.type_pair
             ):
                 raise InvalidInputError(f"bad type pair {self.type_pair!r}")
+        if self.basis is not None:
+            self._check_basis()
+
+    def _check_basis(self):
+        """The basis must define phi, as build_from_two_surfaces does."""
+        if self.provenance != "two-surface":
+            raise InvalidInputError(
+                f"only two-surface class maps carry a basis, not {self.provenance!r} ones"
+            )
+        if (
+            not isinstance(self.basis, tuple)
+            or len(self.basis) != 4
+            or not all(
+                isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
+                for v in self.basis
+            )
+        ):
+            raise InvalidInputError(
+                f"basis must be four pairs of integers, got {self.basis!r}"
+            )
+        det, product = _basis_map(*self.basis)
+        # det(Psi_2) phi = Psi_1 adj(Psi_2), by integer cross-multiplication.
+        if any(
+            x.numerator * det != y * x.denominator
+            for x, y in zip(self.phi.entries(), product)
+        ):
+            raise InvalidInputError("basis does not reproduce phi")
 
     @classmethod
     def external(cls, phi, type_pair=None, complexity_bound=0):
@@ -117,17 +144,12 @@ def _shared_type(s, t):
     return min(common) if common else None
 
 
-def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
-    """Class map forced by two member surfaces with distinct slopes.
+def _basis_map(r1, s1, r2, s2):
+    """det(Psi_2) and the entries of Psi_1 adj(Psi_2), row by row.
 
-    The inputs are the integer boundary classes (possibly non-primitive:
-    several parallel components) of surfaces R and S on the tori, columns
-    of the matrices Psi_1 = (r1 s1) and Psi_2 = (r2 s2).  The counting
-    lemma for compatible surfaces forces det(Psi_1) = det(Psi_2); the map
-    is then Psi_1 Psi_2^(-1), which has determinant one and carries r2 to
-    r1 and s2 to s1.
+    Psi_1 = (r1 s1) and Psi_2 = (r2 s2) are column matrices; the class map
+    they define is Psi_1 adj(Psi_2) / det(Psi_2).
     """
-    r1, s1, r2, s2 = (_as_vector(v) for v in (r1, s1, r2, s2))
     det2 = _det(r2, s2)
     if det2 == 0:
         raise DegenerateClassError(
@@ -139,14 +161,27 @@ def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
             f"det(r1 s1) = {det1} differs from det(r2 s2) = {det2}; "
             "boundary data violates the intersection-count constraint"
         )
-    # Psi_1 * adj(Psi_2) / det(Psi_2), written out.
-    d = Fraction(det2)
-    phi = UnimodularQ(
-        (r1[0] * s2[1] - s1[0] * r2[1]) / d,
-        (-r1[0] * s2[0] + s1[0] * r2[0]) / d,
-        (r1[1] * s2[1] - s1[1] * r2[1]) / d,
-        (-r1[1] * s2[0] + s1[1] * r2[0]) / d,
+    return det2, (
+        r1[0] * s2[1] - s1[0] * r2[1],
+        -r1[0] * s2[0] + s1[0] * r2[0],
+        r1[1] * s2[1] - s1[1] * r2[1],
+        -r1[1] * s2[0] + s1[1] * r2[0],
     )
+
+
+def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
+    """Class map forced by two member surfaces with distinct slopes.
+
+    The inputs are the integer boundary classes (possibly non-primitive:
+    several parallel components) of surfaces R and S on the tori, columns
+    of the matrices Psi_1 = (r1 s1) and Psi_2 = (r2 s2).  The counting
+    lemma for compatible surfaces forces det(Psi_1) = det(Psi_2); the map
+    is then Psi_1 Psi_2^(-1), which has determinant one and carries r2 to
+    r1 and s2 to s1.
+    """
+    r1, s1, r2, s2 = (_as_vector(v) for v in (r1, s1, r2, s2))
+    det, product = _basis_map(r1, s1, r2, s2)
+    phi = UnimodularQ(*(Fraction(x, det) for x in product))
     type1 = _shared_type(
         PrimitiveClass.from_vector(*r1).slope(),
         PrimitiveClass.from_vector(*s1).slope(),
@@ -284,12 +319,12 @@ def classmap_from_json(record):
     basis = None
     if "basis" in record:
         raw = record["basis"]
-        try:
-            basis = tuple(
-                (int(raw[k][0]), int(raw[k][1])) for k in ("r1", "s1", "r2", "s2")
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad basis block {raw!r}") from exc
+        keys = ("r1", "s1", "r2", "s2")
+        if not isinstance(raw, dict) or not all(
+            isinstance(raw.get(k), list) for k in keys
+        ):
+            raise InvalidInputError(f"bad basis block {raw!r}")
+        basis = tuple(tuple(raw[k]) for k in keys)
     return ClassMap(
         phi,
         type_pair,

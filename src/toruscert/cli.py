@@ -58,7 +58,7 @@ STATUS_EXIT = {
 def _parse_matrix(text, integral=False):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InvalidInputError(f"malformed matrix JSON {text!r}") from exc
     _reject_floats(data)
     return matrix_from_json(data, integral=integral)
@@ -104,7 +104,7 @@ def _load_json_file(path):
             data = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
     _reject_floats(data)
     return data
@@ -135,8 +135,6 @@ def _default_bound():
         raise InvalidInputError(
             f"TORUSCERT_SEARCH_BOUND must be an integer, got {raw!r}"
         ) from exc
-    if value < 1:
-        raise InvalidInputError("TORUSCERT_SEARCH_BOUND must be positive")
     return value
 
 
@@ -281,8 +279,15 @@ def _cmd_anosov_trace(args):
     return {"traces": [format_fraction(t) for t in traces]}, "ok"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the exit-code contract."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toruscert",
         description="Exact Farey distances, normal curves, and gluing certificates",
         epilog="Values beginning with '-' need the --option=value form.",
@@ -397,12 +402,14 @@ def _dump(payload, pretty):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = parser.parse_args(argv)
         payload, status = args.handler(args)
     except InvalidInputError as exc:
+        pretty = args is not None and args.pretty
         print(
-            _dump({"status": "invalid-input", "error": str(exc)}, args.pretty),
+            _dump({"status": "invalid-input", "error": str(exc)}, pretty),
             file=sys.stderr,
         )
         return EXIT_INVALID

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from toruscert._kernels_py import _slope_box
+from toruscert._kernels_py import _slope_box, farey_distance
 from toruscert.matrices import UnimodularQ, UnimodularZ
 from toruscert.slopes import Slope
 
@@ -74,6 +74,30 @@ def fixed_slope_scan(a, b, c, d, bound):
         if (a * p + b * q) * q == (c * p + d * q) * p:
             hits.append((p, q))
     return hits
+
+
+def brute_displacement_scan(a, b, c, d, bound, stop_at):
+    """The scan oracle: one farey_distance per slope of the box, in scan order.
+
+    Same contract as min_displacement_scan, with no pruning at all.
+    """
+    best = -1
+    best_p, best_q = 0, 0
+    for p, q in _slope_box(bound):
+        x = a * p + b * q
+        y = c * p + d * q
+        g = gcd(abs(x), abs(y))
+        x //= g
+        y //= g
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        dist = farey_distance(p, q, x, y)
+        if best < 0 or dist < best:
+            best = dist
+            best_p, best_q = p, q
+            if best <= stop_at:
+                break
+    return best, best_p, best_q
 
 
 @pytest.fixture

@@ -146,3 +146,69 @@ def test_classmap_validation():
         ClassMap(UnimodularQ(1, 0, 0, 1), None, 0, "made-up")
     with pytest.raises(InvalidInputError):
         ClassMap(UnimodularQ(1, 0, 0, 1), (0, 1), 0, "external")
+
+
+def _two_surface_record(basis, phi=(("1", "0"), ("0", "1")), provenance="two-surface"):
+    return {
+        "phi": [list(row) for row in phi],
+        "provenance": provenance,
+        "basis": basis,
+    }
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        # det(r1, s1) = 5 but det(r2, s2) = 7.
+        _two_surface_record({"r1": [5, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 7]}),
+        # Equal determinants, but Psi1 Psi2^-1 is a rotation, not phi.
+        _two_surface_record({"r1": [1, 0], "s1": [0, 1], "r2": [0, 1], "s2": [-1, 0]}),
+        _two_surface_record({"r1": [1, 0], "s1": [0, 1], "r2": [0, 1], "s2": [0, 1]}),
+        _two_surface_record({"r1": [True, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 1]}),
+        _two_surface_record({"r1": ["1", 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 1]}),
+        _two_surface_record({"r1": [1, 0, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 1]}),
+        _two_surface_record({"r1": [1, 0], "s1": [0, 1], "r2": [1, 0]}),
+        _two_surface_record([[1, 0], [0, 1], [1, 0], [0, 1]]),
+        _two_surface_record(
+            {"r1": [1, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 1]},
+            provenance="external",
+        ),
+    ],
+    ids=[
+        "det-mismatch", "not-phi", "singular", "bool-entry", "string-entry",
+        "long-vector", "missing-vector", "not-an-object", "external",
+    ],
+)
+def test_classmap_from_json_rejects_bad_basis(record):
+    with pytest.raises(InvalidInputError):
+        classmap_from_json(record)
+
+
+def test_classmap_from_json_accepts_matching_basis():
+    cm = build_from_two_surfaces((2, 1), (1, 3), (1, 0), (0, 5))
+    record = classmap_to_json(cm)
+    assert classmap_from_json(record).basis == ((2, 1), (1, 3), (1, 0), (0, 5))
+
+
+@pytest.mark.parametrize(
+    "provenance, basis",
+    [
+        ("external", ((5, 0), (0, 1), (1, 0), (0, 7))),
+        ("external", ((1, 0), (0, 1), (1, 0), (0, 1))),
+        ("two-surface", ((5, 0), (0, 1), (1, 0), (0, 7))),
+        ("two-surface", ((1, 0), (0, 1), (0, 1), (-1, 0))),
+        ("two-surface", ((1, 0), (0, 1), (1, 0))),
+        ("two-surface", ([1, 0], [0, 1], [1, 0], [0, 1])),
+    ],
+    ids=["external", "external-matching", "det-mismatch", "not-phi", "three-vectors",
+         "lists"],
+)
+def test_classmap_rejects_basis_not_defining_phi(provenance, basis):
+    with pytest.raises(InvalidInputError):
+        ClassMap(UnimodularQ(1, 0, 0, 1), None, 0, provenance, basis=basis)
+
+
+def test_classmap_accepts_basis_defining_phi():
+    built = build_from_two_surfaces((2, 1), (1, 3), (1, 0), (0, 5))
+    again = ClassMap(built.phi, None, 0, "two-surface", basis=built.basis)
+    assert verify_third_surface(again, (3, 4), (1, 5))

@@ -220,10 +220,25 @@ def assert_rejected(r):
     assert "Traceback" not in r.stderr
 
 
+MISMATCHED_BASIS = {"r1": [5, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 7]}
+
+
 @pytest.mark.parametrize(
     "field",
-    [{"complexity_bound": "x"}, {"complexity_bound": True}, {"type_pair": [True, 2]}],
-    ids=["complexity-bound-string", "complexity-bound-bool", "type-pair-bool"],
+    [
+        {"complexity_bound": "x"},
+        {"complexity_bound": True},
+        {"type_pair": [True, 2]},
+        {"provenance": "two-surface", "basis": MISMATCHED_BASIS},
+        {"basis": {"r1": [1, 0], "s1": [0, 1], "r2": [1, 0], "s2": [0, 1]}},
+    ],
+    ids=[
+        "complexity-bound-string",
+        "complexity-bound-bool",
+        "type-pair-bool",
+        "basis-det-mismatch",
+        "basis-on-external",
+    ],
 )
 def test_certify_gluing_rejects_bad_class_record(tmp_path, field):
     path = tmp_path / "classes.json"
@@ -256,3 +271,74 @@ def test_certify_collection_rejects_gluing_without_phi(tmp_path):
     r = run_cli("certify", "collection", "--spec", str(path))
     assert_rejected(r)
     assert "'phi'" in json.loads(r.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["farey", "dist"],
+        ["certify", "gluing", "--phi", "[[1,0],[0,1]]", "--classes", "c.json",
+         "--bound", "x"],
+    ],
+    ids=["missing-arguments", "bound-not-an-int"],
+)
+def test_usage_errors_follow_the_exit_code_contract(argv):
+    r = run_cli(*argv)
+    assert_rejected(r)
+    assert r.stdout == ""
+    assert "usage" not in r.stderr
+
+
+def _write_spec(tmp_path, classes_file, search_bound):
+    spec = {
+        "search_bound": search_bound,
+        "orderings": [{
+            "label": "only",
+            "gluings": [{
+                "phi": [["0", "1"], ["-1", "0"]],
+                "classes": json.loads(open(classes_file).read()),
+            }],
+        }],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "search_bound", ["x", [1], True, 1001], ids=["string", "list", "bool", "too-large"]
+)
+def test_collection_rejects_bad_search_bound(tmp_path, identity_classes, search_bound):
+    spec = _write_spec(tmp_path, identity_classes, search_bound)
+    assert_rejected(run_cli("certify", "collection", "--spec", spec))
+
+
+def test_search_bound_limit_on_flag_and_env(identity_classes):
+    import os
+
+    gluing = ["certify", "gluing", "--phi", "[[0,1],[-1,0]]", "--classes", identity_classes]
+    assert_rejected(run_cli(*gluing, "--bound", "1001"))
+    for raw in ("0", "1001"):
+        env = dict(os.environ, TORUSCERT_SEARCH_BOUND=raw)
+        assert_rejected(run_cli(*gluing, env=env))
+    r = run_cli(*gluing, "--bound", "1000")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["per_class"][0]["result"]["search_bound"] == 1000
+
+
+def test_verify_rejects_search_bound_past_the_limit(tmp_path, identity_classes):
+    r = run_cli(
+        "certify", "gluing", "--phi", "[[0,1],[-1,0]]", "--classes", identity_classes,
+        "--bound", "5",
+    )
+    cert = json.loads(r.stdout)
+    cert["per_class"][0]["result"]["search_bound"] = 1001
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert_rejected(run_cli("certify", "verify", str(path)))
+
+
+def test_integer_past_the_digit_limit_is_rejected(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"kind": ' + "1" * 5000 + "}")
+    assert_rejected(run_cli("certify", "verify", str(path)))
