@@ -15,7 +15,6 @@ import hashlib
 
 from .classmaps import (
     ClassMap,
-    SurfaceBoundaryData,
     build_from_single_slope,
     build_from_two_surfaces,
     class_count_bound,
@@ -113,7 +112,6 @@ __all__ = [
     "from_slope",
     "normal_sign_intersections",
     "trace_components",
-    "SurfaceBoundaryData",
     "ClassMap",
     "build_from_two_surfaces",
     "build_from_single_slope",

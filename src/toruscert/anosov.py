@@ -1,27 +1,33 @@
 """Minimal powers after which a hyperbolic twist certifies distance one.
 
 For a hyperbolic (Anosov) matrix sigma and any gluing psi, every class map
-composition sigma^n psi Phi eventually satisfies the denominator-trace
-test, hence has no rational eigenslopes and cannot fix a slope.  The trace
-sequence t_n = trace(sigma^n K) obeys the Cayley-Hamilton recurrence
+composition sigma^n K, K = psi Phi, eventually satisfies the
+denominator-trace test, hence has no rational eigenslopes and cannot fix a
+slope.  Every power has d(sigma^n K) = d(K) = d: sigma and its inverse are
+integral, so d sigma^n K = sigma^n (d K) is integral, and
+d(sigma^n K) K = sigma^(-n) (d(sigma^n K) sigma^n K) is integral, so each
+denominator divides the other.  The integer traces T_n = d trace(sigma^n K)
+therefore obey the Cayley-Hamilton recurrence
 
-    t_(n+1) = trace(sigma) t_n - t_(n-1),
+    T_(n+1) = trace(sigma) T_n - T_(n-1),
 
-which replaces the real-valued diagonalization argument with exact
-rational arithmetic.  Since |trace(sigma)| >= 3, once consecutive traces
-satisfy |t_(n0+1)| >= |t_n0| and |t_(n0+1)| > 2 d(K), every later trace
-grows by a factor of at least two, and d(sigma^n K) always divides d(K)
-because sigma is integral; that pair of inequalities is therefore a finite
-certificate covering the whole tail.  The only other possibility over the
-rationals is t_n identically zero from some point on (K exchanges the two
-eigendirections, forcing two consecutive zero traces), where the small-trace
-branch of the test holds forever.
+and the per-power test |t_n| < 2/d or |t_n| > 2 d reads |T_n| < 2 or
+|T_n| > 2 d^2.  Since |trace(sigma)| >= 3, once consecutive traces satisfy
+|T_(n0+1)| >= |T_n0| and |T_(n0+1)| > 2 d^2, every later trace grows by a
+factor of at least two; that pair of inequalities is a finite certificate
+covering the whole tail.  The only other possibility over the rationals is
+T_n identically zero from some point on (K exchanges the two
+eigendirections, forcing two consecutive zero traces), where the
+small-trace branch of the test holds forever.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
+from .certify import scaled_trace_criterion
 from .classmaps import classmap_to_json
 from .errors import InvalidInputError
 from .matrices import (
@@ -33,6 +39,7 @@ from .matrices import (
 from .serialize import format_fraction, matrix_to_json, slope_to_json
 
 __all__ = [
+    "MAX_TRACE_INDEX",
     "is_hyperbolic",
     "trace_sequence",
     "power_bound",
@@ -43,6 +50,9 @@ __all__ = [
 ]
 
 _TAIL_SEARCH_CAP = 100_000
+# The largest n_max of trace_sequence.  At |trace(sigma)| = 3, the least
+# hyperbolic one, t_10000 of sigma^n alone has about 4,200 digits.
+MAX_TRACE_INDEX = 10_000
 
 
 def is_hyperbolic(sigma):
@@ -50,25 +60,43 @@ def is_hyperbolic(sigma):
     return abs(sigma.trace()) > 2
 
 
+def _scaled_traces(sigma, k):
+    """T_n = d(K) trace(sigma^n K) for n = 0, 1, 2, ...; sigma integral."""
+    a, b, c, d = sigma.scaled
+    ka, kb, kc, kd = k.scaled
+    tau = a + d
+    t0, t1 = ka + kd, a * ka + b * kc + c * kb + d * kd
+    while True:
+        yield t0
+        t0, t1 = t1, tau * t1 - t0
+
+
 def trace_sequence(sigma, k, n_max):
-    """Exact traces t_0 ... t_n_max of sigma^n * k, by the trace recurrence."""
-    if n_max < 0:
-        raise InvalidInputError("n_max must be a natural number")
-    t0 = k.trace()
-    if n_max == 0:
-        return [t0]
-    t1 = compose(sigma, k).trace()
-    tau = sigma.trace()
-    out = [t0, t1]
-    for _ in range(n_max - 1):
-        out.append(tau * out[-1] - out[-2])
+    """Exact traces t_0 ... t_n_max of sigma^n * k, by the trace recurrence.
+
+    sigma must be integral and n_max an int from 0 to MAX_TRACE_INDEX.  The
+    first trace of 10^sys.get_int_max_str_digits() or more, which could not
+    be printed, raises InvalidInputError, which also bounds the memory.
+    """
+    if (
+        isinstance(n_max, bool)
+        or not isinstance(n_max, int)
+        or not 0 <= n_max <= MAX_TRACE_INDEX
+    ):
+        raise InvalidInputError(f"n_max must be an integer from 0 to {MAX_TRACE_INDEX}")
+    if denominator(sigma) != 1:
+        raise InvalidInputError("sigma must be integral")
+    d_k = denominator(k)
+    digits = sys.get_int_max_str_digits()  # 0 means no limit
+    cap = d_k * 10**digits if digits else None
+    out = []
+    for n, t in zip(range(n_max + 1), _scaled_traces(sigma, k)):
+        if cap is not None and abs(t) >= cap:
+            raise InvalidInputError(
+                f"trace {n} has more than {digits} digits, the limit for printing"
+            )
+        out.append(Fraction(t, d_k))
     return out
-
-
-def _criterion(t, d):
-    """Per-power test: |t| < 2/d or |t| > 2 d, both strict."""
-    t = abs(t)
-    return t * d < 2 or t > 2 * d
 
 
 @dataclass(frozen=True)
@@ -104,55 +132,46 @@ class PowerBoundReport:
 def _class_power_bound(sigma, psi, cm):
     k = compose(psi, cm.phi)
     d_k = denominator(k)
-    tau = sigma.trace()
-    traces = [k.trace(), compose(sigma, k).trace()]
-    mats = [k]
-    tail_index = tail_start = None
-    tail_kind = None
-    n = 0
-    while n < _TAIL_SEARCH_CAP:
-        if traces[n] == 0 and traces[n + 1] == 0:
+    bound = 2 * d_k * d_k
+    scaled = _scaled_traces(sigma, k)
+    traces = [next(scaled), next(scaled)]
+    for n in range(_TAIL_SEARCH_CAP):
+        t0, t1 = traces[n], traces[n + 1]
+        if t0 == 0 and t1 == 0:
             # The recurrence forces every later trace to zero, and zero
             # always passes the small branch of the test.
             tail_index, tail_kind, tail_start = n, "zero", n
             break
-        if abs(traces[n + 1]) >= abs(traces[n]) and abs(traces[n + 1]) > 2 * d_k:
+        if abs(t1) >= abs(t0) and abs(t1) > bound:
             tail_index, tail_kind, tail_start = n, "growth", n + 1
             break
-        traces.append(tau * traces[-1] - traces[-2])
-        mats.append(compose(sigma, mats[-1]))
-        n += 1
-    if tail_index is None:
+        traces.append(next(scaled))
+    else:
         raise RuntimeError("trace tail not found; hyperbolicity violated?")
-    while len(mats) < tail_start:
-        mats.append(compose(sigma, mats[-1]))
-    # Exact per-power check below the tail, with the true denominators.
-    last_failure = -1
-    passed = []
-    for i in range(tail_start):
-        ok = _criterion(traces[i], denominator(mats[i]))
-        passed.append(ok)
-        if not ok:
-            last_failure = i
-    n_class = last_failure + 1
-    prefix = tuple(
-        PrefixDiagnostic(
-            n=i,
-            trace=traces[i],
-            denominator=denominator(mats[i]),
-            criterion_passed=passed[i],
-            eigenslopes=rational_eigenslopes(mats[i]),
+    # Exact per-power check below the tail; every power has denominator d_k.
+    passed = [scaled_trace_criterion(t, d_k) for t in traces[:tail_start]]
+    n_class = max((i + 1 for i, ok in enumerate(passed) if not ok), default=0)
+    prefix = []
+    m = k
+    for i in range(n_class):
+        prefix.append(
+            PrefixDiagnostic(
+                n=i,
+                trace=Fraction(traces[i], d_k),
+                denominator=d_k,
+                criterion_passed=passed[i],
+                eigenslopes=rational_eigenslopes(m),
+            )
         )
-        for i in range(n_class)
-    )
+        m = compose(sigma, m)
     return ClassPowerBound(
         class_map=cm,
         n_class=n_class,
         tail_index=tail_index,
         tail_kind=tail_kind,
-        tail_traces=(traces[tail_index], traces[tail_index + 1]),
+        tail_traces=tuple(Fraction(t, d_k) for t in traces[tail_index:tail_index + 2]),
         d_k=d_k,
-        prefix=prefix,
+        prefix=tuple(prefix),
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "OrderingReport",
     "CollectionReport",
     "trace_criterion",
+    "scaled_trace_criterion",
     "map_distance",
     "c_distance",
     "collection_distance",
@@ -56,9 +57,14 @@ def trace_criterion(m):
     on both sides, so plus or minus the identity and all other boundary
     cases are inconclusive.
     """
-    t = abs(m.trace())
-    d = denominator(m)
-    return t * d < 2 or t > 2 * d
+    a, _, _, d = m.scaled
+    return scaled_trace_criterion(a + d, denominator(m))
+
+
+def scaled_trace_criterion(scaled_trace, d):
+    """trace_criterion from T = d(m) trace(m) and d = d(m): |T| < 2 or |T| > 2 d^2."""
+    t = abs(scaled_trace)
+    return t < 2 or t > 2 * d * d
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,7 @@ def map_distance(m, search_bound=DEFAULT_SEARCH_BOUND):
         criterion = (
             CRITERION_TRACE_BOUND if trace_criterion(m) else CRITERION_EIGENSLOPE_EMPTY
         )
-    d = denominator(m)
-    scaled = tuple(int(x * d) for x in m.entries())
-    emp, wp, wq = _speedups.min_displacement_scan(
-        scaled[0], scaled[1], scaled[2], scaled[3], search_bound, lower
-    )
+    emp, wp, wq = _speedups.min_displacement_scan(*m.scaled, search_bound, lower)
     return MapDistanceResult(
         lower_bound=lower,
         fixed_slope_witness=witness,

@@ -19,13 +19,12 @@ from .errors import (
     DegenerateClassError,
     InvalidInputError,
 )
-from .matrices import PrimitiveClass, UnimodularQ, compose
+from .matrices import PrimitiveClass, UnimodularQ, compose, from_scaled
 from .normal import curve_types, from_slope
 from .serialize import matrix_from_json, matrix_to_json
 from .slopes import bezout
 
 __all__ = [
-    "SurfaceBoundaryData",
     "ClassMap",
     "ThirdSurfaceCheck",
     "build_from_two_surfaces",
@@ -42,14 +41,6 @@ PROVENANCES = ("single-slope", "two-surface", "external")
 def _is_int(x):
     # bool is an int subclass, but True is not a count or a curve type.
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-@dataclass(frozen=True)
-class SurfaceBoundaryData:
-    """Boundary classes of one surface on the two tori."""
-
-    on_t1: PrimitiveClass
-    on_t2: PrimitiveClass
 
 
 @dataclass(frozen=True)
@@ -101,12 +92,7 @@ class ClassMap:
             raise InvalidInputError(
                 f"basis must be four pairs of integers, got {self.basis!r}"
             )
-        det, product = _basis_map(*self.basis)
-        # det(Psi_2) phi = Psi_1 adj(Psi_2), by integer cross-multiplication.
-        if any(
-            x.numerator * det != y * x.denominator
-            for x, y in zip(self.phi.entries(), product)
-        ):
+        if from_scaled(*_basis_map(*self.basis)) != self.phi:
             raise InvalidInputError("basis does not reproduce phi")
 
     @classmethod
@@ -145,7 +131,7 @@ def _shared_type(s, t):
 
 
 def _basis_map(r1, s1, r2, s2):
-    """det(Psi_2) and the entries of Psi_1 adj(Psi_2), row by row.
+    """The entries of Psi_1 adj(Psi_2), row by row, then det(Psi_2).
 
     Psi_1 = (r1 s1) and Psi_2 = (r2 s2) are column matrices; the class map
     they define is Psi_1 adj(Psi_2) / det(Psi_2).
@@ -161,11 +147,12 @@ def _basis_map(r1, s1, r2, s2):
             f"det(r1 s1) = {det1} differs from det(r2 s2) = {det2}; "
             "boundary data violates the intersection-count constraint"
         )
-    return det2, (
+    return (
         r1[0] * s2[1] - s1[0] * r2[1],
         -r1[0] * s2[0] + s1[0] * r2[0],
         r1[1] * s2[1] - s1[1] * r2[1],
         -r1[1] * s2[0] + s1[1] * r2[0],
+        det2,
     )
 
 
@@ -180,8 +167,7 @@ def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
     r1 and s2 to s1.
     """
     r1, s1, r2, s2 = (_as_vector(v) for v in (r1, s1, r2, s2))
-    det, product = _basis_map(r1, s1, r2, s2)
-    phi = UnimodularQ(*(Fraction(x, det) for x in product))
+    phi = from_scaled(*_basis_map(r1, s1, r2, s2))
     type1 = _shared_type(
         PrimitiveClass.from_vector(*r1).slope(),
         PrimitiveClass.from_vector(*s1).slope(),

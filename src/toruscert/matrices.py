@@ -1,7 +1,9 @@
 """Exact 2x2 determinant-one matrices over Q and their action on slopes.
 
-These matrices act on slopes as linear fractional transformations.  All
-entries are exact rationals (Fraction); nothing here ever touches a float,
+These matrices act on slopes as linear fractional transformations.  A
+matrix m is stored as the integer matrix d(m)*m together with d(m), the
+least integer d >= 1 with d*m integral; every other module reads that
+form instead of rescaling entries.  Nothing here ever touches a float,
 because the downstream criteria (square discriminants, strict trace
 inequalities) are exact dichotomies.
 """
@@ -21,6 +23,7 @@ __all__ = [
     "PrimitiveClass",
     "Eigenslopes",
     "compose",
+    "from_scaled",
     "lft_apply",
     "rational_eigenslopes",
     "denominator",
@@ -35,38 +38,56 @@ def _frac(x):
     raise InvalidInputError(f"matrix entries must be exact rationals, got {x!r}")
 
 
-class UnimodularQ:
-    """A 2x2 matrix over Q with determinant exactly 1."""
+def _init(m, scaled, den):
+    object.__setattr__(m, "scaled", scaled)
+    object.__setattr__(m, "_den", den)
+    return m
 
-    __slots__ = ("a", "b", "c", "d")
+
+def _checked(m):
+    """m, after checking det m = 1, that is AD - BC = d(m)^2."""
+    a, b, c, d = m.scaled
+    if a * d - b * c != m._den**2:
+        det = Fraction(a * d - b * c, m._den**2)
+        raise InvalidInputError(f"matrix {m} has determinant {det}, expected 1")
+    return m
+
+
+def _entry(i):
+    return property(lambda m: Fraction(m.scaled[i], m._den))
+
+
+class UnimodularQ:
+    """A 2x2 matrix over Q with determinant exactly 1.
+
+    scaled is the integer matrix (A, B, C, D) = d(m)*m, row by row, with
+    gcd(A, B, C, D, d(m)) = 1; a, b, c, d and entries() are the exact
+    Fraction entries.
+    """
+
+    __slots__ = ("scaled", "_den")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
-        if a * d - b * c != 1:
-            raise InvalidInputError(
-                f"matrix [[{a}, {b}], [{c}, {d}]] has determinant "
-                f"{a * d - b * c}, expected 1"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        entries = [_frac(x) for x in (a, b, c, d)]
+        den = math.lcm(*(x.denominator for x in entries))
+        scaled = tuple(x.numerator * (den // x.denominator) for x in entries)
+        _checked(_init(self, scaled, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("matrix values are immutable")
 
+    a, b, c, d = _entry(0), _entry(1), _entry(2), _entry(3)
+
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(Fraction(x, self._den) for x in self.scaled)
 
     def trace(self):
-        return self.a + self.d
+        return Fraction(self.scaled[0] + self.scaled[3], self._den)
 
     def invert(self):
         """Exact inverse [[d, -b], [-c, a]] (determinant is 1)."""
-        return type(self)(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other):
-        return compose(self, other)
+        a, b, c, d = self.scaled
+        return _init(object.__new__(type(self)), (d, -b, -c, a), self._den)
 
     def __mul__(self, other):
         if isinstance(other, UnimodularQ):
@@ -76,7 +97,7 @@ class UnimodularQ:
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
-        result = identity() if not isinstance(self, UnimodularZ) else identity_z()
+        result = type(self)(1, 0, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -85,25 +106,20 @@ class UnimodularQ:
             n >>= 1
         return result
 
-    def apply(self, s):
-        return lft_apply(self, s)
-
-    def denominator(self):
-        return denominator(self)
-
     def is_identity(self):
-        return self.a == 1 and self.d == 1 and self.b == 0 and self.c == 0
+        return self.scaled == (1, 0, 0, 1) and self._den == 1
 
     def is_plus_minus_identity(self):
-        return self.b == 0 and self.c == 0 and self.a == self.d and abs(self.a) == 1
+        a, b, c, d = self.scaled
+        return self._den == 1 and b == 0 and c == 0 and a == d and abs(a) == 1
 
     def __eq__(self, other):
         if not isinstance(other, UnimodularQ):
             return NotImplemented
-        return self.entries() == other.entries()
+        return self.scaled == other.scaled and self._den == other._den
 
     def __hash__(self):
-        return hash(self.entries())
+        return hash((self.scaled, self._den))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -118,54 +134,49 @@ class UnimodularZ(UnimodularQ):
     __slots__ = ()
 
     def __init__(self, a, b, c, d):
-        for x in (a, b, c, d):
-            if isinstance(x, bool) or not (
-                isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-            ):
-                raise InvalidInputError(f"integer matrix entry expected, got {x!r}")
         super().__init__(a, b, c, d)
-
-    def entries_int(self):
-        return tuple(int(x) for x in self.entries())
-
-
-def identity():
-    return UnimodularQ(1, 0, 0, 1)
+        if self._den != 1:
+            raise InvalidInputError(f"integer matrix expected, got {self}")
 
 
-def identity_z():
-    return UnimodularZ(1, 0, 0, 1)
+def from_scaled(a, b, c, d, den):
+    """The matrix [[a, b], [c, d]] / den from integers, den != 0."""
+    if den == 0:
+        raise InvalidInputError("matrix denominator must be nonzero")
+    if den < 0:
+        a, b, c, d, den = -a, -b, -c, -d, -den
+    g = math.gcd(a, b, c, d, den)
+    scaled = (a // g, b // g, c // g, d // g)
+    return _checked(_init(object.__new__(UnimodularQ), scaled, den // g))
 
 
 def compose(first, second):
     """Matrix product first * second; integral whenever both factors are."""
-    a = first.a * second.a + first.b * second.c
-    b = first.a * second.b + first.b * second.d
-    c = first.c * second.a + first.d * second.c
-    d = first.c * second.b + first.d * second.d
-    if isinstance(first, UnimodularZ) and isinstance(second, UnimodularZ):
-        return UnimodularZ(a, b, c, d)
-    return UnimodularQ(a, b, c, d)
+    a, b, c, d = first.scaled
+    e, f, g, h = second.scaled
+    scaled = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    den = first._den * second._den
+    k = math.gcd(*scaled, den)
+    if k != 1:
+        scaled, den = tuple(x // k for x in scaled), den // k
+    integral = isinstance(first, UnimodularZ) and isinstance(second, UnimodularZ)
+    return _init(object.__new__(UnimodularZ if integral else UnimodularQ), scaled, den)
 
 
 def lft_apply(m, s):
     """Image of a slope under the linear fractional action.
 
     Works through the column-vector form, so infinity needs no special
-    case: (p, q) maps to (a p + b q, c p + d q), then renormalizes.
+    case: (p, q) maps to (A p + B q, C p + D q) under the integer form,
+    and Slope renormalizes.
     """
-    x = m.a * s.p + m.b * s.q
-    y = m.c * s.p + m.d * s.q
-    k = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-    return Slope(int(x * k), int(y * k))
+    a, b, c, d = m.scaled
+    return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
 
 
 def denominator(m):
     """Least integer d >= 1 such that d*m has integer entries."""
-    result = 1
-    for x in m.entries():
-        result = result * x.denominator // math.gcd(result, x.denominator)
-    return result
+    return m._den
 
 
 @dataclass(frozen=True)
@@ -190,43 +201,31 @@ class Eigenslopes:
         return self.slopes[0] if self.slopes else None
 
 
-def _rational_sqrt(f):
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def rational_eigenslopes(m):
     """The exact set of slopes fixed by the linear fractional action of m.
 
-    A finite slope r is fixed iff c r^2 + (d - a) r - b = 0; infinity is
-    fixed iff c = 0.  Rationality of the quadratic roots is decided by
-    testing whether the discriminant (d - a)^2 + 4 b c is the square of a
-    rational, numerator and denominator separately via integer square
-    roots.  For plus or minus the identity every slope is fixed and the
-    distinguished fixes_all value is returned.
+    With (A, B, C, D) the integer form of m, a finite slope r is fixed iff
+    C r^2 + (D - A) r - B = 0; infinity is fixed iff C = 0.  The quadratic
+    has rational roots iff the integer discriminant (D - A)^2 + 4 B C is a
+    perfect square, decided with isqrt.  For plus or minus the identity
+    every slope is fixed and the distinguished fixes_all value is returned.
     """
     if m.is_plus_minus_identity():
         return Eigenslopes(fixes_all=True, slopes=())
-    a, b, c, d = m.entries()
+    a, b, c, d = m.scaled
     found = []
     if c == 0:
         found.append(Slope(1, 0))
         if d != a:
-            found.append(Slope.from_fraction(b / (d - a)))
+            found.append(Slope(b, d - a))
         # d == a with b != 0 is a nontrivial parabolic: infinity only.
     else:
         disc = (d - a) ** 2 + 4 * b * c
-        root = _rational_sqrt(disc)
-        if root is not None:
-            found.append(Slope.from_fraction((a - d + root) / (2 * c)))
+        root = math.isqrt(disc) if disc >= 0 else None
+        if root is not None and root * root == disc:
+            found.append(Slope(a - d + root, 2 * c))
             if root != 0:
-                found.append(Slope.from_fraction((a - d - root) / (2 * c)))
+                found.append(Slope(a - d - root, 2 * c))
     return Eigenslopes(fixes_all=False, slopes=tuple(sorted(found)))
 
 

@@ -156,9 +156,9 @@ def _essential_coordinates(s, mult):
 
 def from_slope(s, mult=1, trivial=0):
     """Minimal coordinates of mult parallel s-curves plus trivial vertex links."""
-    if not isinstance(mult, int) or mult < 1:
+    if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
         raise InvalidInputError("multiplicity must be a positive integer")
-    if not isinstance(trivial, int) or trivial < 0:
+    if isinstance(trivial, bool) or not isinstance(trivial, int) or trivial < 0:
         raise InvalidInputError("trivial count must be a natural number")
     e1, e2, e3 = _essential_coordinates(s, mult)
     return NormalCoordinates(e1 + trivial, e2 + trivial, e3 + trivial)

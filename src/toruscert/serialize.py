@@ -7,6 +7,7 @@ approximation.  Slopes serialize as "p/q" with "1/0" for infinity.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -24,10 +25,17 @@ __all__ = [
 
 
 def format_fraction(f):
+    """"p" or "p/q"; InvalidInputError past sys.get_int_max_str_digits()."""
     f = Fraction(f)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing"
+        ) from exc
 
 
 def parse_fraction(value):
@@ -67,14 +75,7 @@ def matrix_from_json(data, integral=False):
         raise InvalidInputError(f"matrix must be a 2x2 array, got {data!r}")
     a, b = (parse_fraction(v) for v in data[0])
     c, d = (parse_fraction(v) for v in data[1])
-    if integral:
-        for v in (a, b, c, d):
-            if v.denominator != 1:
-                raise InvalidInputError(
-                    f"gluing matrices must be integral, got entry {format_fraction(v)}"
-                )
-        return UnimodularZ(int(a), int(b), int(c), int(d))
-    return UnimodularQ(a, b, c, d)
+    return (UnimodularZ if integral else UnimodularQ)(a, b, c, d)
 
 
 def slope_to_json(s):

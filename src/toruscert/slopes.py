@@ -63,10 +63,6 @@ class Slope:
         return (self.p, self.q)
 
     @classmethod
-    def from_fraction(cls, f):
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
     def parse(cls, text):
         """Parse "p/q" or "p"; "1/0" is infinity.  Rejects anything else."""
         text = text.strip()

@@ -5,12 +5,12 @@ Everything is seeded per test, so failures reproduce exactly.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from toruscert._kernels_py import _slope_box, farey_distance
-from toruscert.matrices import UnimodularQ, UnimodularZ
+from toruscert.matrices import Eigenslopes, UnimodularQ, UnimodularZ
 from toruscert.slopes import Slope
 
 
@@ -98,6 +98,53 @@ def brute_displacement_scan(a, b, c, d, bound, stop_at):
             if best <= stop_at:
                 break
     return best, best_p, best_q
+
+
+def fraction_mul(m, n):
+    """Product of two matrices given as (a, b, c, d) tuples of Fractions."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def fraction_denominator(m):
+    """d(m) of a Fraction 4-tuple: the lcm of the entry denominators."""
+    return lcm(*(x.denominator for x in m))
+
+
+def _rational_sqrt(f):
+    """Exact square root of a nonnegative Fraction, or None if irrational."""
+    if f < 0:
+        return None
+    n, d = f.numerator, f.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_eigenslopes(m):
+    """Eigenslopes of a Fraction 4-tuple, from the quadratic over Q.
+
+    The oracle for rational_eigenslopes: a finite slope r is fixed iff
+    c r^2 + (d - a) r - b = 0, infinity iff c = 0, and the roots are
+    rational iff the Fraction discriminant is the square of a rational.
+    """
+    a, b, c, d = m
+    if b == 0 and c == 0 and a == d and abs(a) == 1:
+        return Eigenslopes(fixes_all=True, slopes=())
+    found = []
+    if c == 0:
+        found.append(Slope(1, 0))
+        if d != a:
+            r = b / (d - a)
+            found.append(Slope(r.numerator, r.denominator))
+    else:
+        root = _rational_sqrt((d - a) ** 2 + 4 * b * c)
+        if root is not None:
+            for r in {(a - d + root) / (2 * c), (a - d - root) / (2 * c)}:
+                found.append(Slope(r.numerator, r.denominator))
+    return Eigenslopes(fixes_all=False, slopes=tuple(sorted(found)))
 
 
 @pytest.fixture

@@ -164,13 +164,13 @@ def test_06_trace_recurrence():
         dk = denominator(k)
         m = k
         for n in range(31):
-            if traces[n] != m.trace() or dk % denominator(m) != 0:
+            if traces[n] != m.trace() or denominator(m) != dk:
                 ok = False
                 break
             m = compose(sigma, m)
         if not ok:
             break
-    report(6, "trace recurrence == matrix powers (n <= 30, 200 cases), d | d(K)", ok)
+    report(6, "trace recurrence == matrix powers (n <= 30, 200 cases), d = d(K)", ok)
 
 
 def _tail_criterion_holds(sigma, k, start, count, eigen_samples):

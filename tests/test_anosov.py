@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import random_hyperbolic_z, random_unimodular_q
+from tests.conftest import (
+    fraction_denominator,
+    fraction_eigenslopes,
+    fraction_mul,
+    random_hyperbolic_z,
+    random_unimodular_q,
+    random_unimodular_z,
+)
 from toruscert.anosov import (
+    MAX_TRACE_INDEX,
     is_hyperbolic,
     power_bound,
     power_report_to_json,
@@ -37,6 +45,25 @@ def test_trace_sequence_examples():
     assert trace_sequence(SIGMA, k, 2) == [Fraction(5, 2), 3, Fraction(13, 2)]
     # K = sigma^(-1): t_1 = trace(identity) = 2
     assert trace_sequence(SIGMA, SIGMA.invert(), 1)[1] == 2
+    assert len(trace_sequence(SIGMA, IDENT, MAX_TRACE_INDEX)) == MAX_TRACE_INDEX + 1
+
+
+@pytest.mark.parametrize(
+    "sigma, n_max",
+    [
+        (SIGMA, MAX_TRACE_INDEX + 1),
+        (SIGMA, -1),
+        (SIGMA, True),
+        (UnimodularQ(Fraction(1, 2), 0, 0, 2), 3),
+        # |trace| 10^10 + 2: t_500 has about 5,000 digits, past the
+        # 4,300-digit limit for printing an integer
+        (UnimodularZ(10**10 + 1, 10**10, 1, 1), 500),
+    ],
+    ids=["n-past-the-limit", "negative-n", "bool-n", "rational-sigma", "too-many-digits"],
+)
+def test_trace_sequence_rejects(sigma, n_max):
+    with pytest.raises(InvalidInputError):
+        trace_sequence(sigma, IDENT, n_max)
 
 
 def test_trace_sequence_matches_matrix_powers(rng):
@@ -148,6 +175,33 @@ def test_power_bound_minimality(rng):
             m = compose(sigma, m)
         t, d = abs(m.trace()), denominator(m)
         assert not (t * d < 2 or t > 2 * d)
+
+
+def test_power_bound_matches_fraction_powers(rng):
+    # Prefix and tail against sigma^n K recomputed as Fraction matrices.
+    for _ in range(30):
+        sigma = random_hyperbolic_z(rng)
+        psi = random_unimodular_z(rng, length=3)
+        cm = ClassMap.external(random_unimodular_q(rng, num_bound=40, den_bound=60))
+        pc = power_bound(sigma, psi, [cm]).per_class[0]
+        powers = [fraction_mul(psi.entries(), cm.phi.entries())]
+        for _ in range(pc.tail_index + 1):
+            powers.append(fraction_mul(sigma.entries(), powers[-1]))
+        traces = [m[0] + m[3] for m in powers]
+        dens = [fraction_denominator(m) for m in powers]
+        passed = [abs(t) * d < 2 or abs(t) > 2 * d for t, d in zip(traces, dens)]
+        assert pc.d_k == dens[0]
+        i = pc.tail_index
+        assert pc.tail_traces == (traces[i], traces[i + 1])
+        tail_start = i + 1 if pc.tail_kind == "growth" else i
+        assert pc.n_class == max(
+            (n + 1 for n in range(tail_start) if not passed[n]), default=0
+        )
+        assert [p.n for p in pc.prefix] == list(range(pc.n_class))
+        for p in pc.prefix:
+            assert (p.trace, p.denominator) == (traces[p.n], dens[p.n])
+            assert p.criterion_passed == passed[p.n]
+            assert p.eigenslopes == fraction_eigenslopes(powers[p.n])
 
 
 def test_power_bound_preconditions():

@@ -342,3 +342,27 @@ def test_integer_past_the_digit_limit_is_rejected(tmp_path):
     path = tmp_path / "report.json"
     path.write_text('{"kind": ' + "1" * 5000 + "}")
     assert_rejected(run_cli("certify", "verify", str(path)))
+
+
+@pytest.mark.parametrize(
+    "sigma, n",
+    [("[[2,1],[1,1]]", "20000"), ("[[10000000001,10000000000],[1,1]]", "500")],
+    ids=["n-past-the-limit", "traces-past-the-digit-limit"],
+)
+def test_anosov_trace_past_its_limits_is_rejected(sigma, n):
+    r = run_cli("anosov", "trace", "--sigma", sigma, "--k", "[[1,0],[0,1]]", "--n", n)
+    assert_rejected(r)
+    assert r.stdout == ""
+
+
+def test_anosov_power_report_past_the_digit_limit_is_rejected(tmp_path):
+    # K = diag(1/x, x): t_0 = 1/x + x has a numerator of 4,401 digits
+    x = 10**2200
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps([{"phi": [[f"1/{x}", "0"], ["0", str(x)]]}]))
+    r = run_cli(
+        "anosov", "power", "--sigma", "[[2,1],[1,1]]", "--psi", "[[1,0],[0,1]]",
+        "--classes", str(path),
+    )
+    assert_rejected(r)
+    assert r.stdout == ""

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tests.conftest import (
     fixed_slope_scan,
+    fraction_denominator,
+    fraction_eigenslopes,
+    fraction_mul,
     random_primitive_vector,
     random_slope,
     random_unimodular_q,
@@ -180,6 +184,36 @@ def test_denominator_lemma(rng):
         d = denominator(m)
         ratio = abs(Fraction(s, r))
         assert Fraction(1, d) <= ratio <= d
+
+
+def _with_eigenslopes(rng):
+    """A random matrix conjugate to a diagonal or parabolic one, so that its
+    discriminant is a square."""
+    g = random_unimodular_q(rng)
+    r = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+    core = UnimodularQ(r, 0, 0, 1 / r) if rng.random() < 0.5 else UnimodularQ(1, r, 0, 1)
+    return compose(compose(g, core), g.invert())
+
+
+def test_stored_form_is_reduced_and_matches_fraction_arithmetic(rng):
+    for i in range(400):
+        m = random_unimodular_q(rng) if i % 2 else _with_eigenslopes(rng)
+        n = random_unimodular_q(rng)
+        fm, fn = m.entries(), n.entries()
+        for x in (m, n, compose(m, n), m.invert()):
+            d = denominator(x)
+            assert d == fraction_denominator(x.entries())
+            assert gcd(*x.scaled, d) == 1
+            assert x.scaled == tuple(int(e * d) for e in x.entries())
+        a, b, c, d = fm
+        assert compose(m, n).entries() == fraction_mul(fm, fn)
+        assert m.invert().entries() == (d, -b, -c, a)
+        assert m.trace() == a + d
+        s = random_slope(rng, 30)
+        x, y = a * s.p + b * s.q, c * s.p + d * s.q
+        k = fraction_denominator((x, y))
+        assert lft_apply(m, s) == Slope(int(x * k), int(y * k))
+        assert rational_eigenslopes(m) == fraction_eigenslopes(fm)
 
 
 def test_primitive_class():

@@ -59,8 +59,9 @@ def test_from_slope_examples():
     assert doubled.triple() == tuple(2 * v for v in single.triple())
     with_link = from_slope(s, 1, 1)
     assert with_link.triple() == tuple(v + 1 for v in single.triple())
-    with pytest.raises(InvalidInputError):
-        from_slope(s, 0, 0)
+    for mult, trivial in ((0, 0), (True, 0), (1, False)):
+        with pytest.raises(InvalidInputError):
+            from_slope(s, mult, trivial)
 
 
 def test_decompose_matches_tracing_oracle_exhaustively():

@@ -21,6 +21,14 @@ def test_fraction_roundtrip():
     assert format_fraction(Fraction(4, 2)) == "2"
 
 
+@pytest.mark.parametrize(
+    "value", [10**5000, Fraction(1, 10**5000)], ids=["numerator", "denominator"]
+)
+def test_format_fraction_rejects_numbers_past_the_digit_limit(value):
+    with pytest.raises(InvalidInputError):
+        format_fraction(value)
+
+
 def test_parse_fraction_rejects_floats_and_bools():
     with pytest.raises(InvalidInputError):
         parse_fraction(1.5)
