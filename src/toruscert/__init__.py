@@ -37,7 +37,7 @@ from .errors import (
     NoEssentialComponentError,
     NoPathWithinBoundError,
 )
-from .farey import FareyPath, bfs_distance_oracle, distance, geodesic, is_edge
+from .farey import FareyPath, distance, geodesic, is_edge
 from .matrices import (
     Eigenslopes,
     PrimitiveClass,
@@ -57,7 +57,6 @@ from .normal import (
     from_slope,
     normal_sign_intersections,
     slope_of,
-    trace_components,
 )
 from .slopes import INFINITY, Slope, intersection_number, slope_normalize
 
@@ -102,7 +101,6 @@ __all__ = [
     "is_edge",
     "distance",
     "geodesic",
-    "bfs_distance_oracle",
     "NormalCoordinates",
     "CurveDecomposition",
     "SignedIntersections",
@@ -111,7 +109,6 @@ __all__ = [
     "slope_of",
     "from_slope",
     "normal_sign_intersections",
-    "trace_components",
     "ClassMap",
     "build_from_two_surfaces",
     "build_from_single_slope",

@@ -30,7 +30,7 @@ from .classmaps import (
     classmap_from_json,
     classmap_to_json,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt, shorten
 from .farey import distance, geodesic
 from .matrices import lft_apply, rational_eigenslopes
 from .normal import (
@@ -40,7 +40,12 @@ from .normal import (
     normal_sign_intersections,
     slope_of,
 )
-from .serialize import format_fraction, matrix_from_json, slope_to_json
+from .serialize import (
+    digit_limit_error,
+    format_fraction,
+    matrix_from_json,
+    slope_to_json,
+)
 from .slopes import Slope
 
 EXIT_OK = 0
@@ -59,7 +64,7 @@ def _parse_matrix(text, integral=False):
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InvalidInputError(f"malformed matrix JSON {text!r}") from exc
+        raise InvalidInputError(f"malformed matrix JSON {excerpt(text)}") from exc
     _reject_floats(data)
     return matrix_from_json(data, integral=integral)
 
@@ -80,22 +85,24 @@ def _reject_floats(data):
 def _parse_coords(text):
     parts = text.split(",")
     if len(parts) != 3:
-        raise InvalidInputError(f"normal coordinates must be x1,x2,x3: {text!r}")
+        raise InvalidInputError(
+            f"normal coordinates must be x1,x2,x3: {excerpt(text)}"
+        )
     try:
         x1, x2, x3 = (int(p) for p in parts)
     except ValueError as exc:
-        raise InvalidInputError(f"malformed coordinates {text!r}") from exc
+        raise InvalidInputError(f"malformed coordinates {excerpt(text)}") from exc
     return NormalCoordinates(x1, x2, x3)
 
 
 def _parse_vector(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise InvalidInputError(f"vectors must be p,q: {text!r}")
+        raise InvalidInputError(f"vectors must be p,q: {excerpt(text)}")
     try:
         return (int(parts[0]), int(parts[1]))
     except ValueError as exc:
-        raise InvalidInputError(f"malformed vector {text!r}") from exc
+        raise InvalidInputError(f"malformed vector {excerpt(text)}") from exc
 
 
 def _load_json_file(path):
@@ -133,7 +140,7 @@ def _default_bound():
         value = int(raw)
     except ValueError as exc:
         raise InvalidInputError(
-            f"TORUSCERT_SEARCH_BOUND must be an integer, got {raw!r}"
+            f"TORUSCERT_SEARCH_BOUND must be an integer, got {excerpt(raw)}"
         ) from exc
     return value
 
@@ -281,7 +288,7 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors follow the exit-code contract."""
 
     def error(self, message):
-        raise InvalidInputError(f"{self.prog}: {message}")
+        raise InvalidInputError(f"{self.prog}: {shorten(message, 200)}")
 
 
 def build_parser():
@@ -393,9 +400,12 @@ def build_parser():
 
 
 def _dump(payload, pretty):
-    if pretty:
-        return json.dumps(payload, sort_keys=True, indent=2)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        if pretty:
+            return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise digit_limit_error() from exc
 
 
 def main(argv=None):
@@ -404,6 +414,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         payload, status = args.handler(args)
+        text = _dump(payload, args.pretty)
     except InvalidInputError as exc:
         pretty = args is not None and args.pretty
         print(
@@ -411,7 +422,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return EXIT_INVALID
-    print(_dump(payload, args.pretty))
+    print(text)
     return STATUS_EXIT[status]
 
 

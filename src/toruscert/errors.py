@@ -24,3 +24,15 @@ class DegenerateClassError(InvalidInputError):
 
 class NoPathWithinBoundError(InvalidInputError):
     """BFS oracle target unreachable inside the coordinate bound."""
+
+
+def shorten(text, limit=40):
+    """text if it is short, else its first `limit` characters and its length."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def excerpt(value):
+    """repr(value) for an error message, shortened, so no input is echoed whole."""
+    return shorten(repr(value))

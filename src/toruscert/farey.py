@@ -4,27 +4,21 @@ Vertices are slopes; two slopes span an edge when their curves can be
 isotoped to meet in a single point, i.e. when |p s' - q r'| = 1.  The
 distance algorithm normalizes the source to 1/0 by an SL2(Z) isometry and
 reduces along the continued fraction of the image slope (see _kernels_py
-for the recurrence); it needs no search bound.  An independent
-breadth-first oracle over a bounded slope box is provided for testing and
-never shares code with the main path.
+for the recurrence); it needs no search bound.  A geodesic is read off
+the same continued fraction in O(k) integer steps.  The test suite checks
+both against a breadth-first search over a bounded slope box and against
+a search over the whole ancestor graph of the target.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from . import _speedups
-from .errors import InvalidInputError, NoPathWithinBoundError
 from .slopes import Slope, bezout, intersection_number
 
-__all__ = [
-    "FareyPath",
-    "is_edge",
-    "distance",
-    "geodesic",
-    "bfs_distance_oracle",
-    "bfs_distance_map",
-]
+__all__ = ["FareyPath", "is_edge", "distance", "geodesic"]
 
 
 def is_edge(s, t):
@@ -57,167 +51,106 @@ class FareyPath:
         return all(is_edge(a, b) for a, b in zip(verts, verts[1:]))
 
 
-def _parents(p, q):
-    """The two Farey parents of p/q (q >= 2): denominators positive, < q."""
-    b1 = pow(p, -1, q)
-    a1 = (p * b1 - 1) // q
-    b2 = q - b1
-    a2 = (p * b2 + 1) // q
-    return (a1, b1), (a2, b2)
-
-
-def _ancestors(p, q):
-    """All vertices of Stern-Brocot ancestor chains of p/q, including 1/0."""
-    seen = set()
-    stack = [(p, q)]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        vp, vq = v
-        if vq == 0:
-            continue
-        if vq == 1:
-            stack.append((1, 0))
-        else:
-            stack.extend(_parents(vp, vq))
-    seen.discard((p, q))
-    return seen
-
-
 def geodesic(s, t):
     """A geodesic from s to t, lexicographically least in the slope order.
 
-    Every geodesic between the two slopes lives on the ancestor chains of
-    the normalized target (any path must enter the Farey interval cut off
-    by a parent edge through one of its endpoints), so searching that
-    finite candidate set is exhaustive, and picking the least available
-    successor at each step yields the lexicographically smallest geodesic.
+    Normalize s to 1/0 by [[x, y], [-q, p]], so that t becomes
+    [a0; a1, ..., ak] with convergents c_m (c_-2 = 0/1, c_-1 = 1/0).  The
+    ladder of t is the set of vertices of the Farey triangles that the
+    vertical line from 1/0 to t crosses.  It is a strip of fans: fan i
+    (1 <= i <= k) has hub c_{i-1} and rim L_i(j) = c_{i-2} + j c_{i-1},
+    0 <= j <= top, where top = a_i + 1 (a_k in fan k), L_i(a_i) = c_i and
+    L_i(a_i + 1) = L_{i+1}(1); its edges join the hub to the rim and
+    consecutive rim vertices, and no other Farey edge joins two ladder
+    vertices.
+
+    Every geodesic stays on the ladder: a vertex off it lies beyond a
+    boundary edge uv of the strip, and a path through it enters and leaves
+    that region through u or v, so the edge uv (or nothing) is shorter.
+    A rim vertex with 2 <= j <= top - 2 is on no geodesic either: its way
+    out of the fan is the hub or a rim end at least two steps away, and a
+    rim end is at most one step closer to t than the hub, so the vertex is
+    one step farther than the hub; none of its neighbours is two steps
+    farther, so no geodesic from 1/0 reaches it.  The hubs and the rim
+    vertices with j in {0, 1, top - 1, top} form a graph of O(k) vertices
+    and edges with the same geodesics.  One
+    breadth-first pass from t gives each its distance to t, and the walk
+    from 1/0 takes at each step the least neighbour one step closer.
+
+    The least in slope order needs no product of two ladder coordinates.
+    The ladder vertices of even fans lie below t and increase with (i, j);
+    those of odd fans lie above t and decrease with (i, j).  The
+    normalizing map preserves the cyclic order, so the order of the
+    original slopes is the normalized order cut at P, the image of 1/0:
+    first the vertices above P, then those at or below it.  The cost is
+    O(k) integer operations plus the output.
     """
     if s == t:
         return FareyPath((s,))
-    # [[x, y], [-q, p]] maps s to 1/0.
     x, y = bezout(s.p, s.q)
-    up = x * t.p + y * t.q
-    uq = s.p * t.q - s.q * t.p
-    if uq < 0:
-        up, uq = -up, -uq
-    # Candidates back in original coordinates: apply the inverse matrix.
-    candidates = set()
-    for cp, cq in _ancestors(up, uq) | {(up, uq)}:
-        candidates.add(Slope(s.p * cp - y * cq, s.q * cp + x * cq))
-    candidates.add(s)
-    candidates.add(t)
-    neighbors = {v: [] for v in candidates}
-    ordered = sorted(candidates)
-    for i, v in enumerate(ordered):
-        for w in ordered[i + 1 :]:
-            if is_edge(v, w):
-                neighbors[v].append(w)
-                neighbors[w].append(v)
-    # Distances to t inside the candidate graph are the true distances for
-    # every vertex lying on some geodesic, which is all we consult.
-    dist_to_t = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in neighbors[v]:
-                if w not in dist_to_t:
-                    dist_to_t[w] = dist_to_t[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    remaining = dist_to_t[s]
-    path = [s]
-    current = s
-    while current != t:
-        remaining -= 1
-        current = min(
-            v for v in neighbors[current] if dist_to_t.get(v) == remaining
-        )
-        path.append(current)
-    return FareyPath(tuple(path))
+    num = x * t.p + y * t.q
+    den = s.p * t.q - s.q * t.p
+    if den < 0:
+        num, den = -num, -den
+    if den == 1:
+        return FareyPath((s, t))
+    quotients = []
+    conv = [(0, 1), (1, 0)]  # conv[m + 2] is c_m
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        quotients.append(a)
+        (p0, q0), (p1, q1) = conv[-2], conv[-1]
+        conv.append((a * p1 + p0, a * q1 + q0))
+    k = len(quotients) - 1
 
+    # A vertex is the key (i, j) of L_i(j) with 1 <= j <= a_i; c_0 is
+    # (0, a0) and 1/0 is (1, 0).
+    def vertex(i, j):
+        if j == 0:
+            return (i - 2, quotients[i - 2]) if i >= 2 else (1, 0)
+        if j == quotients[i] + 1:
+            return (i + 1, 1)
+        return (i, j)
 
-def _box_neighbors(p, q, bound):
-    """Neighbors of p/q with |p'|, |q'| <= bound, by mediant-family enumeration.
+    def coordinates(v):
+        i, j = v
+        (p0, q0), (p1, q1) = conv[i], conv[i + 1]
+        return p0 + j * p1, q0 + j * q1
 
-    The solutions of p s' - q r' = 1 form the line (r0 + t p, s0 + t q);
-    together with their negatives they are all Farey neighbors.  Canonical
-    representatives inside the box are returned.
-    """
-    out = set()
-    if q == 0:
-        for r in range(-bound, bound + 1):
-            out.add((r, 1))
-        return out
-    s0 = pow(p, -1, q) if q > 1 else 0
-    r0 = (p * s0 - 1) // q
-    # t-range from |s0 + t q| <= bound; the numerator constraint is checked.
-    t_lo = -((bound + s0) // q)
-    t_hi = (bound - s0) // q
-    for t in range(t_lo, t_hi + 1):
-        rp, sp = r0 + t * p, s0 + t * q
-        if abs(rp) > bound or abs(sp) > bound:
-            continue
-        if sp < 0 or (sp == 0 and rp < 0):
-            rp, sp = -rp, -sp
-        if sp == 0:
-            rp = 1
-        out.add((rp, sp))
-    return out
+    neighbors = defaultdict(list)
+    for i in range(1, k + 1):
+        top = quotients[i] + (i < k)
+        hub = (i - 1, quotients[i - 1])
+        previous = None
+        for j in range(top + 1) if top < 4 else (0, 1, top - 1, top):
+            v = vertex(i, j)
+            neighbors[hub].append(v)
+            neighbors[v].append(hub)
+            if previous is not None and previous[0] == j - 1:
+                neighbors[previous[1]].append(v)
+                neighbors[v].append(previous[1])
+            previous = (j, v)
 
-
-def bfs_distance_map(s, bound):
-    """Breadth-first distances from s in the box-restricted Farey graph.
-
-    Test infrastructure for the oracle: returns {slope tuple: distance}
-    over canonical slopes with |p|, |q| <= bound reachable from s.
-    """
-    start = (s.p, s.q)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in _box_neighbors(v[0], v[1], bound):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def bfs_distance_oracle(s, t, bound):
-    """Distance in the subgraph induced on slopes with |p|, |q| <= bound.
-
-    An upper bound for the true distance, equal to it whenever some
-    geodesic stays inside the box.  Completely independent of the main
-    distance algorithm.
-    """
-    for v in (s, t):
-        if abs(v.p) > bound or v.q > bound:
-            raise InvalidInputError(
-                f"slope {v} exceeds the oracle bound {bound}"
-            )
-    target = (t.p, t.q)
-    start = (s.p, s.q)
-    if start == target:
-        return 0
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in _box_neighbors(v[0], v[1], bound):
-                if w in dist:
-                    continue
+    target = (k, quotients[k])
+    dist = {target: 0}
+    queue = deque([target])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if w not in dist:
                 dist[w] = dist[v] + 1
-                if w == target:
-                    return dist[w]
-                nxt.append(w)
-        frontier = nxt
-    raise NoPathWithinBoundError(
-        f"no path from {s} to {t} within coordinate bound {bound}"
-    )
+                queue.append(w)
+
+    def order(v):
+        i, j = v
+        vp, vq = coordinates(v)
+        at_or_below_p = vp * s.q <= -x * vq  # P = (-x, s.q); all False if P = 1/0
+        return (at_or_below_p, (1, -i, -j) if i % 2 else (0, i, j))
+
+    v, path = (1, 0), [s]
+    for r in range(dist[v] - 1, -1, -1):
+        v = min((w for w in neighbors[v] if dist.get(w) == r), key=order)
+        vp, vq = coordinates(v)
+        path.append(Slope.of_primitive(s.p * vp - y * vq, s.q * vp + x * vq))
+    return FareyPath(tuple(path))

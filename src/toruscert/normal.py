@@ -20,15 +20,13 @@ coordinates
     k * (-p, q, 0)       for p < 0 < q     (negative slope),
 
 and the vertex link is (1, 1, 1).  decompose() inverts these formulas;
-trace_components() is the independent oracle that instead walks the arc
+the test suite checks it against a tracing oracle that walks the arc
 gluings combinatorially and reads homology off signed edge crossings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import InvalidInputError, NoEssentialComponentError
@@ -43,8 +41,6 @@ __all__ = [
     "slope_of",
     "from_slope",
     "normal_sign_intersections",
-    "crossing_signs",
-    "trace_components",
     "oriented_class",
 ]
 
@@ -120,7 +116,7 @@ def decompose(x):
     The minimum coordinate counts vertex links; the remainder has a zero
     coordinate and determines the slope by the crossing-count formulas in
     the module docstring.  Cross-checked exhaustively against the tracing
-    oracle.
+    oracle in the test suite.
     """
     m = min(x.triple())
     y1, y2, y3 = (v - m for v in x.triple())
@@ -164,289 +160,62 @@ def from_slope(s, mult=1, trivial=0):
     return NormalCoordinates(e1 + trivial, e2 + trivial, e3 + trivial)
 
 
-# ---------------------------------------------------------------------------
-# Tracing oracle: walk the arc gluings, no slope formulas involved.
-# ---------------------------------------------------------------------------
-
-def _arc_tables(x):
-    """Partner maps for the two triangles.
-
-    Nodes are (edge, slot): edge "h"/"v"/"d", slots 1-based along the edge
-    (by x for "h", by y for "v", along the diagonal for "d").  Within each
-    triangle the arcs of one type are nested around their corner, which
-    forces which slots each arc connects; the slot ranges below are exactly
-    the nesting orders in the square model.
-    """
-    x1, x2, x3 = x.triple()
-    n_h, n_v, n_d = x2 + x3, x1 + x3, x1 + x2
-    lower, upper = {}, {}
-
-    def link(table, a, b):
-        table[a] = b
-        table[b] = a
-
-    for k in range(1, x2 + 1):  # lower type 2, corner (0,0)
-        link(lower, ("h", k), ("d", k))
-    for k in range(1, x3 + 1):  # lower type 3, corner (1,0)
-        link(lower, ("h", n_h + 1 - k), ("v", k))
-    for k in range(1, x1 + 1):  # lower type 1, corner (1,1)
-        link(lower, ("v", n_v + 1 - k), ("d", n_d + 1 - k))
-    for k in range(1, x1 + 1):  # upper type 1, corner (0,0)
-        link(upper, ("v", k), ("d", k))
-    for k in range(1, x3 + 1):  # upper type 3, corner (0,1)
-        link(upper, ("v", n_v + 1 - k), ("h", k))
-    for k in range(1, x2 + 1):  # upper type 2, corner (1,1)
-        link(upper, ("h", n_h + 1 - k), ("d", n_d + 1 - k))
-    return lower, upper
-
-
-def trace_components(x):
-    """Components of the normal multicurve, with their homology classes.
-
-    Walks arc to arc through the edge crossings.  Crossing the horizontal
-    edge from the upper triangle into the lower one adds (0, 1) to the
-    class (the curve wraps once vertically), crossing the vertical edge
-    from lower into upper adds (1, 0); the diagonal is interior and
-    contributes nothing.  Classes are computed up to sign (a traversal
-    direction is chosen arbitrarily).
-
-    Returns a list of (p, q) homology classes, one per component; trivial
-    components are the (0, 0) entries.
-    """
-    lower, upper = _arc_tables(x)
-    visited = set()
-    components = []
-    for start in sorted(lower):
-        if start in visited:
-            continue
-        p_wind = q_wind = 0
-        node, exit_lower = start, True
-        while True:
-            visited.add(node)
-            edge = node[0]
-            if edge == "h":
-                q_wind += 1 if exit_lower else -1
-            elif edge == "v":
-                p_wind += -1 if exit_lower else 1
-            node = (lower if exit_lower else upper)[node]
-            exit_lower = not exit_lower
-            if node == start and exit_lower:
-                break
-        components.append((p_wind, q_wind))
-    return components
-
-
-# ---------------------------------------------------------------------------
-# Normal signs of intersections in minimal position.
-# ---------------------------------------------------------------------------
-
-# Sides of the two triangles with their boundary orientation (both triangles
-# are oriented counterclockwise, matching a fixed orientation of the torus).
-# Each entry maps a side name to a function giving the position of a point
-# along the induced direction.
-_LOWER_SIDES = {
-    "bottom": lambda z: z[0],        # (0,0) -> (1,0)
-    "right": lambda z: z[1],         # (1,0) -> (1,1)
-    "diag": lambda z: 1 - z[0],      # (1,1) -> (0,0)
-}
-_UPPER_SIDES = {
-    "diag": lambda z: z[0],          # (0,0) -> (1,1)
-    "top": lambda z: 1 - z[0],       # (1,1) -> (0,1)
-    "left": lambda z: 1 - z[1],      # (0,1) -> (0,0)
-}
-
-_LOWER_TYPE = {
-    frozenset(("bottom", "diag")): 2,
-    frozenset(("bottom", "right")): 3,
-    frozenset(("right", "diag")): 1,
-}
-_UPPER_TYPE = {
-    frozenset(("left", "diag")): 1,
-    frozenset(("left", "top")): 3,
-    frozenset(("top", "diag")): 2,
-}
-
-
-@dataclass(frozen=True)
-class CrossingSign:
-    """One intersection point of the primitive representative pair."""
-
-    triangle: str           # "lower" or "upper"
-    arc_type_first: int
-    arc_type_second: int
-    sign: int
-
-
-def _frac_mod1(f):
-    return f - (f.numerator // f.denominator)
-
-
-def _arc_through(z, w, triangle):
-    """Endpoints of the straight normal arc through z in direction w.
-
-    Returns ((side, param), (side, param)) for the two endpoints, where
-    param is the position along the side's induced boundary direction.
-    """
-    zx, zy = z
-    wx, wy = Fraction(w[0]), Fraction(w[1])
-    if triangle == "lower":
-        # bottom: y = 0; right: x = 1; diag: x - y = 0.
-        constraints = [
-            ("bottom", -zy, wy),          # y + t wy = 0
-            ("right", 1 - zx, wx),        # x + t wx = 1
-            ("diag", zy - zx, wx - wy),   # (x - y) + t (wx - wy) = 0
-        ]
-        sides = _LOWER_SIDES
-    else:
-        constraints = [
-            ("left", -zx, wx),
-            ("top", 1 - zy, wy),
-            ("diag", zy - zx, wx - wy),
-        ]
-        sides = _UPPER_SIDES
-    t_pos, side_pos = None, None
-    t_neg, side_neg = None, None
-    for side, rhs, coef in constraints:
-        if coef == 0:
-            continue
-        t = rhs / coef
-        if t > 0 and (t_pos is None or t < t_pos):
-            t_pos, side_pos = t, side
-        elif t < 0 and (t_neg is None or t > t_neg):
-            t_neg, side_neg = t, side
-    if t_pos is None or t_neg is None or side_pos == side_neg:
-        raise RuntimeError("degenerate arc placement")
-    e_pos = (zx + t_pos * wx, zy + t_pos * wy)
-    e_neg = (zx + t_neg * wx, zy + t_neg * wy)
-    return (
-        (side_pos, sides[side_pos](e_pos)),
-        (side_neg, sides[side_neg](e_neg)),
-    )
-
-
-def _normal_sign(arc_first, arc_second):
-    """Sign of a crossing from the boundary rule.
-
-    A side of the triangle carrying an endpoint of each arc determines the
-    sign: positive when the induced boundary direction runs from the second
-    arc's endpoint to the first's.  When two sides qualify they agree; this
-    is asserted.
-    """
-    signs = set()
-    for side_a, pos_a in arc_first:
-        for side_b, pos_b in arc_second:
-            if side_a != side_b:
-                continue
-            if pos_a == pos_b:
-                raise RuntimeError("degenerate endpoint collision")
-            signs.add(1 if pos_b < pos_a else -1)
-    if len(signs) != 1:
-        raise RuntimeError(f"inconsistent boundary rule signs: {signs}")
-    return signs.pop()
-
-
-_OFFSET_SEEDS = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
-
-
-def _primitive_crossings(u, v, seed):
-    """Crossing points of one (u)-line and one (v)-line on the torus.
-
-    Both lines carry deterministic rational offsets built from the seed.
-    Returns None if the placement is degenerate (a crossing meets the
-    1-skeleton or a line passes through the vertex), so the caller can
-    advance to the next seed.
-    """
-    base_x = (Fraction(1, seed), Fraction(1, seed * seed + 1))
-    base_y = (Fraction(2, seed * seed + 3), Fraction(1, seed + 2))
-    for base, w in ((base_x, u), (base_y, v)):
-        if (base[0] * w[1] - base[1] * w[0]).denominator == 1:
-            return None  # line passes through the vertex
-    delta = u[0] * v[1] - u[1] * v[0]
-    c = (base_x[0] - base_y[0]) * v[1] - (base_x[1] - base_y[1]) * v[0]
-    lo, hi = (c, c + delta) if delta > 0 else (c + delta, c)
-    points = []
-    k = lo.numerator // lo.denominator + 1
-    while k < hi:
-        t = (k - c) / delta
-        zx = _frac_mod1(base_x[0] + t * u[0])
-        zy = _frac_mod1(base_x[1] + t * u[1])
-        if zx == 0 or zy == 0 or zx == zy:
-            return None
-        points.append((zx, zy))
-        k += 1
-    return points
-
-
-@lru_cache(maxsize=None)
-def _primitive_pattern(pu, qu, pv, qv):
-    """Per-point normal signs for single curves of distinct slopes u, v."""
-    u, v = (pu, qu), (pv, qv)
-    for seed in _OFFSET_SEEDS:
-        points = _primitive_crossings(u, v, seed)
-        if points is None:
-            continue
-        records = []
-        for z in points:
-            triangle = "lower" if z[0] > z[1] else "upper"
-            arc_u = _arc_through(z, u, triangle)
-            arc_v = _arc_through(z, v, triangle)
-            type_table = _LOWER_TYPE if triangle == "lower" else _UPPER_TYPE
-            records.append(
-                CrossingSign(
-                    triangle=triangle,
-                    arc_type_first=type_table[
-                        frozenset(side for side, _ in arc_u)
-                    ],
-                    arc_type_second=type_table[
-                        frozenset(side for side, _ in arc_v)
-                    ],
-                    sign=_normal_sign(arc_u, arc_v),
-                )
-            )
-        return tuple(records)
-    raise RuntimeError(f"no nondegenerate placement found for {u}, {v}")
-
-
-def crossing_signs(x, y):
-    """Per-point sign records for the primitive representative pair.
-
-    In minimal position, trivial components and parallel essential
-    components are disjoint, so all intersections come from essential
-    parts of distinct slopes; parallel copies repeat the primitive
-    pattern, so the records for one representative of each slope carry
-    all per-point information.  Empty when there are no crossings.
-    """
-    du, dv = decompose(x), decompose(y)
-    if du.essential_slope is None or dv.essential_slope is None:
-        return ()
-    if du.essential_slope == dv.essential_slope:
-        return ()
-    return _primitive_pattern(
-        du.essential_slope.p,
-        du.essential_slope.q,
-        dv.essential_slope.p,
-        dv.essential_slope.q,
-    )
-
-
 def normal_sign_intersections(x, y):
     """Signed intersection counts of two normal multicurves in minimal position.
 
-    Minimal position is combinatorial: trivial components are pushed off
-    everything, parallel essential components are disjoint, and essential
-    parts of distinct slopes are realized as straight closed geodesics,
-    whose crossings are automatically minimal.  Each crossing's normal
-    sign comes from the boundary rule in the triangle containing it.
+    With X = x.triple() and Y = y.triple() as given (multiplicities and
+    vertex links included), the counts are
+
+        geometric = |det(u, v)| * m_x * m_y    (u, v the essential slopes),
+        algebraic = det[(1, 1, 1); X; Y]
+                  = X1 (Y2 - Y3) + X2 (Y3 - Y1) + X3 (Y1 - Y2),
+
+    and positives, negatives = (geometric +- algebraic) / 2.  The first is
+    the intersection number of minimal position: vertex links are pushed
+    off everything and parallel essential curves are disjoint.
+
+    The second holds for any normal position.  Fix a triangle, a side e of
+    it with its boundary direction, an endpoint a of x and an endpoint b of
+    y on e, and let h_e(a, b) = 1/2 if b comes before a along e, -1/2
+    otherwise.  The boundary rule signs a crossing by the order of the two
+    arcs' endpoints on a side they share.  Two arcs of the same type share
+    two sides: h summed over both is the sign if they cross (the two sides
+    agree) and 0 if they are nested.  Arcs of types i != j share one side,
+    and cross iff the arc of type i ends beyond the arc of type j there;
+    corners 1, 2, 3 run counterclockwise in both triangles, so such a
+    crossing has sign s(i, j) = +1 for j = i + 1 (mod 3) and -1 for
+    j = i - 1, and h_e = s(i, j) / 2 if they cross, -s(i, j) / 2 if not.
+    So in every triangle the signed count is the sum of h over all
+    endpoint pairs on its sides plus sum over i != j of X_i Y_j s(i, j) / 2.
+    Each edge lies in both triangles with opposite boundary directions and
+    the same endpoints, so the h terms cancel, and the two triangles leave
+    sum X_i Y_{i+1} - sum X_{i+1} Y_i, which is the determinant.
+
+    The determinant vanishes on the vertex link (1, 1, 1) and scales with
+    multiplicities.  For curves sharing a type t, both essential parts have
+    their zero coordinate at t, and the determinant is
+    det(oriented_class(t, v), oriented_class(t, u)) * m_x * m_y, the
+    convention line of the package.  For curves in different sign regions
+    (no shared type) the zeros sit in different places, the geometric
+    count is sum X_i Y_{i+1} + sum X_{i+1} Y_i, and so the positives are
+    sum X_i Y_{i+1} and the negatives sum X_{i+1} Y_i.  The test suite
+    checks every count against a per-crossing oracle.
     """
-    records = crossing_signs(x, y)
-    if not records:
+    du, dv = decompose(x), decompose(y)
+    if du.essential_slope is None or dv.essential_slope is None:
         return SignedIntersections(0, 0)
-    copies = (
-        decompose(x).essential_multiplicity * decompose(y).essential_multiplicity
+    u, v = du.essential_slope, dv.essential_slope
+    geometric = (
+        abs(u.p * v.q - u.q * v.p)
+        * du.essential_multiplicity
+        * dv.essential_multiplicity
     )
-    pos = sum(1 for r in records if r.sign > 0) * copies
-    neg = sum(1 for r in records if r.sign < 0) * copies
-    return SignedIntersections(pos, neg)
+    x1, x2, x3 = x.triple()
+    y1, y2, y3 = y.triple()
+    algebraic = x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)
+    return SignedIntersections(
+        (geometric + algebraic) // 2, (geometric - algebraic) // 2
+    )
 
 
 def oriented_class(type_index, s):
@@ -462,8 +231,7 @@ def oriented_class(type_index, s):
             = det(oriented_class(t, slope_y), oriented_class(t, slope_x))
               * multiplicity_x * multiplicity_y,
 
-    verified exhaustively against the geometric sign computation for all
-    coordinate pairs up to 8.
+    the shared-type case of the determinant in normal_sign_intersections.
     """
     if type_index not in (1, 2, 3):
         raise InvalidInputError(f"curve type must be 1, 2 or 3, got {type_index}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt
 from .matrices import UnimodularQ, UnimodularZ
 from .slopes import Slope
 
@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def digit_limit_error():
+    """The error for a number too long to print as decimal text."""
+    return InvalidInputError(
+        f"a number has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing"
+    )
+
+
 def format_fraction(f):
     """"p" or "p/q"; InvalidInputError past sys.get_int_max_str_digits()."""
     f = Fraction(f)
@@ -32,16 +40,13 @@ def format_fraction(f):
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
     except ValueError as exc:
-        raise InvalidInputError(
-            f"a number has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for printing"
-        ) from exc
+        raise digit_limit_error() from exc
 
 
 def parse_fraction(value):
     """Exact rational from an int or a "p"/"p/q" string; floats rejected."""
     if isinstance(value, bool):
-        raise InvalidInputError(f"not a rational: {value!r}")
+        raise InvalidInputError(f"not a rational: {excerpt(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -52,9 +57,9 @@ def parse_fraction(value):
                 return Fraction(int(num), int(den))
             return Fraction(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"malformed rational {value!r}") from exc
+            raise InvalidInputError(f"malformed rational {excerpt(value)}") from exc
     raise InvalidInputError(
-        f"rationals must be integers or 'p/q' strings, got {value!r}"
+        f"rationals must be integers or 'p/q' strings, got {excerpt(value)}"
     )
 
 
@@ -72,7 +77,7 @@ def matrix_from_json(data, integral=False):
         or len(data) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in data)
     ):
-        raise InvalidInputError(f"matrix must be a 2x2 array, got {data!r}")
+        raise InvalidInputError(f"matrix must be a 2x2 array, got {excerpt(data)}")
     a, b = (parse_fraction(v) for v in data[0])
     c, d = (parse_fraction(v) for v in data[1])
     return (UnimodularZ if integral else UnimodularQ)(a, b, c, d)
@@ -84,5 +89,5 @@ def slope_to_json(s):
 
 def slope_from_json(value):
     if not isinstance(value, str):
-        raise InvalidInputError(f"slope must be a 'p/q' string, got {value!r}")
+        raise InvalidInputError(f"slope must be a 'p/q' string, got {excerpt(value)}")
     return Slope.parse(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt
 
 __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
 
@@ -45,6 +45,16 @@ class Slope:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def of_primitive(cls, p, q):
+        """Slope(p, q) for integers with gcd(p, q) = 1, skipping the gcd."""
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
 
@@ -72,7 +82,7 @@ class Slope:
                 return cls(int(num), int(den))
             return cls(int(text), 1)
         except ValueError as exc:
-            raise InvalidInputError(f"malformed slope {text!r}") from exc
+            raise InvalidInputError(f"malformed slope {excerpt(text)}") from exc
 
     def __str__(self):
         return f"{self.p}/{self.q}"

@@ -15,6 +15,8 @@ from itertools import product
 from math import gcd
 
 from tests.conftest import (
+    bfs_distance_map,
+    crossing_signs,
     fixed_slope_scan,
     random_hyperbolic_z,
     random_primitive_vector,
@@ -30,7 +32,7 @@ from toruscert.classmaps import (
     verify_third_surface,
 )
 from toruscert.errors import BoundaryCountError
-from toruscert.farey import bfs_distance_map, distance
+from toruscert.farey import distance
 from toruscert.matrices import (
     UnimodularQ,
     UnimodularZ,
@@ -41,7 +43,6 @@ from toruscert.matrices import (
 )
 from toruscert.normal import (
     NormalCoordinates,
-    crossing_signs,
     curve_types,
     decompose,
     from_slope,

@@ -366,3 +366,49 @@ def test_anosov_power_report_past_the_digit_limit_is_rejected(tmp_path):
     )
     assert_rejected(r)
     assert r.stdout == ""
+
+
+def test_normal_intersect_past_the_digit_limit_is_rejected():
+    # 2,500-digit coordinates: the counts have about 5,000 digits
+    big = "9" * 2500
+    r = run_cli("normal", "intersect", f"{big},0,1", f"0,{big},1")
+    assert_rejected(r)
+    assert r.stdout == ""
+
+
+def test_normal_intersect_answers_a_pair_with_10_12_crossings():
+    # slopes (10^6 + 1)/1 and 1/(10^6 + 1): det = (10^6 + 1)^2 - 1
+    r = run_cli("normal", "intersect", "1000000,0,1", "0,1000000,1")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {
+        "algebraic": 999998000000,
+        "geometric": 1000002000000,
+        "negatives": 2000000,
+        "positives": 1000000000000,
+    }
+
+
+LONG = "7" * 5000 + "x"
+SURFACES = ["--s1=1,1", "--r2=0,1", "--s2=-1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["farey", "dist", LONG, "1/2"],
+        ["normal", "intersect", f"{LONG},1,1", "1,1,1"],
+        ["normal", "intersect", LONG, "1,1,1"],
+        ["classmap", "from-surfaces", f"--r1={LONG},1", *SURFACES],
+        ["classmap", "from-surfaces", f"--r1={LONG}", *SURFACES],
+        ["slope", "map", f"[[1,{LONG}],[0,1]]", "1/2"],
+        ["anosov", "trace", "--sigma", "[[2,1],[1,1]]", "--k", "[[1,0],[0,1]]",
+         "--n", LONG],
+    ],
+    ids=["slope", "coordinates", "coordinate-count", "vector", "vector-length",
+         "matrix", "usage-error"],
+)
+def test_error_messages_do_not_echo_long_arguments(argv):
+    r = run_cli(*argv)
+    assert_rejected(r)
+    assert len(r.stderr.encode()) < 300
+    assert "(5" in json.loads(r.stderr)["error"]  # the length is reported

@@ -2,16 +2,16 @@ from math import gcd
 
 import pytest
 
-from tests.conftest import random_slope, random_unimodular_z
-from toruscert.errors import InvalidInputError
-from toruscert.farey import (
-    FareyPath,
+from tests.conftest import (
+    ancestor_geodesic,
     bfs_distance_map,
     bfs_distance_oracle,
-    distance,
-    geodesic,
-    is_edge,
+    random_slope,
+    random_unimodular_z,
+    slope_from_continued_fraction,
 )
+from toruscert.errors import InvalidInputError
+from toruscert.farey import FareyPath, distance, geodesic, is_edge
 from toruscert.matrices import lft_apply
 from toruscert.slopes import INFINITY, Slope
 
@@ -78,7 +78,8 @@ def test_geodesic_validity_and_length(rng):
 
 
 def test_geodesic_is_lexicographically_least():
-    # enumerate all geodesics inside a generous box and compare
+    # enumerate all geodesics inside a generous box and compare; a geodesic
+    # that leaves the box is compared with the ancestor-graph oracle
     bound = 30
     box = slope_box(bound)
     box_set = {(v.p, v.q) for v in box}
@@ -88,8 +89,9 @@ def test_geodesic_is_lexicographically_least():
     for _ in range(25):
         s, t = rng.choice(box), rng.choice(box)
         claimed = geodesic(s, t)
+        assert claimed == ancestor_geodesic(s, t), (s, t)
         if any((v.p, v.q) not in box_set for v in claimed.vertices):
-            continue  # candidate geodesic used taller slopes; skip this pair
+            continue
         d = distance(s, t)
         from_t = bfs_distance_map(t, bound)
         from_s = bfs_distance_map(s, bound)
@@ -106,6 +108,44 @@ def test_geodesic_is_lexicographically_least():
             current = min(options)
             best.append(current)
         assert list(claimed.vertices) == best
+
+
+def test_geodesic_matches_ancestor_oracle_on_box():
+    box = slope_box(10)
+    for s in box:
+        for t in box:
+            assert geodesic(s, t) == ancestor_geodesic(s, t), (s, t)
+
+
+def test_geodesic_matches_ancestor_oracle_on_cf_sums(rng):
+    # targets [a0; a1, ..., ak] with a1 + ... + ak up to 300, from 1/0 and
+    # moved by an isometry, in both directions
+    for total in list(range(2, 40)) + [rng.randint(40, 300) for _ in range(30)]:
+        quotients, left = [rng.randint(-3, 3)], total
+        while left:
+            a = rng.randint(1, min(left, rng.choice((1, 2, 3, 10, 300))))
+            quotients.append(a)
+            left -= a
+        if len(quotients) > 2 and quotients[-1] == 1:
+            quotients[-2] += 1
+            quotients.pop()
+        m = random_unimodular_z(rng)
+        s = lft_apply(m, INFINITY)
+        t = lft_apply(m, slope_from_continued_fraction(quotients))
+        assert geodesic(s, t) == ancestor_geodesic(s, t), (s, t)
+        assert geodesic(t, s) == ancestor_geodesic(t, s), (t, s)
+
+
+def test_all_ones_geodesic_is_a_valid_path():
+    # F(4002)/F(4001) = [1; 1, ..., 1, 2], 3999 partial quotients after a0
+    p, q = 1, 1
+    for _ in range(4000):
+        p, q = p + q, p
+    t = Slope(p, q)
+    path = geodesic(INFINITY, t)
+    assert path.is_valid()
+    assert path.length == 2001 == distance(INFINITY, t)
+    assert path.vertices[0] == INFINITY and path.vertices[-1] == t
 
 
 def test_distance_symmetry(rng):

@@ -2,20 +2,21 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tests.conftest import crossing_signs, trace_components
 from toruscert.errors import InvalidInputError, NoEssentialComponentError
 from toruscert.normal import (
     NormalCoordinates,
-    crossing_signs,
     curve_types,
     decompose,
     from_slope,
     normal_sign_intersections,
     oriented_class,
     slope_of,
-    trace_components,
 )
-from toruscert.slopes import Slope, intersection_number
+from toruscert.slopes import Slope, bezout, intersection_number
 
 
 def test_coordinates_validation():
@@ -178,3 +179,56 @@ def test_oriented_class_validation():
         oriented_class(3, Slope(1, 2))  # slope 1/2 is type 1, not 3
     assert oriented_class(3, Slope(1, 0)) == (-1, 0)
     assert oriented_class(2, Slope(1, 0)) == (1, 0)
+
+
+def oracle_counts(x, y):
+    """(positives, negatives) from the per-crossing oracle, times the copies."""
+    signs = [r.sign for r in crossing_signs(x, y)]
+    if not signs:
+        return (0, 0)
+    copies = (
+        decompose(x).essential_multiplicity * decompose(y).essential_multiplicity
+    )
+    return (signs.count(1) * copies, signs.count(-1) * copies)
+
+
+def test_closed_form_matches_crossing_oracle_up_to_6():
+    # every ordered pair of coordinates in 0..6, so every multiplicity,
+    # vertex-link count and pair of sign regions; the oracle places the
+    # crossings of each primitive slope pair once
+    coords = [NormalCoordinates(*t) for t in product(range(7), repeat=3)]
+    expected = {}
+    for x in coords:
+        for y in coords:
+            si = normal_sign_intersections(x, y)
+            key = (decompose(x), decompose(y))
+            if key not in expected:
+                expected[key] = oracle_counts(x, y)
+            assert (si.positives, si.negatives) == expected[key], (x, y)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    u=st.sampled_from([Slope(p, q) for p in range(-9, 10) for q in range(10)
+                       if gcd(abs(p), q) == 1]),
+    crossings=st.integers(1, 10**4),
+    shift=st.integers(-3 * 10**4, 3 * 10**4),
+    mults=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    links=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+@example(u=Slope(2, 3), crossings=10**4, shift=12345, mults=(1, 1), links=(0, 0))
+@example(u=Slope(-4, 7), crossings=10**4, shift=-20000, mults=(3, 2), links=(1, 2))
+def test_closed_form_matches_crossing_oracle_up_to_10_4_crossings(
+    u, crossings, shift, mults, links
+):
+    # v = (-b, a) * crossings + shift * u has det(u, v) = crossings; the
+    # shift moves on to the next v that is primitive
+    a, b = bezout(u.p, u.q)
+    while gcd(crossings * a + shift * u.q, crossings * b - shift * u.p) != 1:
+        shift += 1
+    v = Slope(-crossings * b + shift * u.p, crossings * a + shift * u.q)
+    x = from_slope(u, mults[0], links[0])
+    y = from_slope(v, mults[1], links[1])
+    si = normal_sign_intersections(x, y)
+    assert si.geometric == crossings * mults[0] * mults[1]
+    assert (si.positives, si.negatives) == oracle_counts(x, y)

@@ -1,7 +1,7 @@
 import pytest
 
+from tests.conftest import _primitive_crossings
 from toruscert.errors import InvalidInputError
-from toruscert.normal import _primitive_crossings
 from toruscert.slopes import INFINITY, Slope, intersection_number, slope_normalize
 
 
