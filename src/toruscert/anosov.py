@@ -27,9 +27,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import scaled_trace_criterion
 from .classmaps import classmap_to_json
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer
 from .matrices import (
     UnimodularZ,
     compose,
@@ -60,6 +59,12 @@ def is_hyperbolic(sigma):
     return abs(sigma.trace()) > 2
 
 
+def scaled_trace_criterion(scaled_trace, d):
+    """trace_criterion from T = d(m) trace(m) and d = d(m): |T| < 2 or |T| > 2 d^2."""
+    t = abs(scaled_trace)
+    return t < 2 or t > 2 * d * d
+
+
 def _scaled_traces(sigma, k):
     """T_n = d(K) trace(sigma^n K) for n = 0, 1, 2, ...; sigma integral."""
     a, b, c, d = sigma.scaled
@@ -78,12 +83,7 @@ def trace_sequence(sigma, k, n_max):
     first trace of 10^sys.get_int_max_str_digits() or more, which could not
     be printed, raises InvalidInputError, which also bounds the memory.
     """
-    if (
-        isinstance(n_max, bool)
-        or not isinstance(n_max, int)
-        or not 0 <= n_max <= MAX_TRACE_INDEX
-    ):
-        raise InvalidInputError(f"n_max must be an integer from 0 to {MAX_TRACE_INDEX}")
+    integer(n_max, "n_max", 0, MAX_TRACE_INDEX)
     if denominator(sigma) != 1:
         raise InvalidInputError("sigma must be integral")
     d_k = denominator(k)
@@ -147,7 +147,9 @@ def _class_power_bound(sigma, psi, cm):
             break
         traces.append(next(scaled))
     else:
-        raise RuntimeError("trace tail not found; hyperbolicity violated?")
+        raise InvalidInputError(
+            f"no certified trace tail within {_TAIL_SEARCH_CAP} powers"
+        )
     # Exact per-power check below the tail; every power has denominator d_k.
     passed = [scaled_trace_criterion(t, d_k) for t in traces[:tail_start]]
     n_class = max((i + 1 for i, ok in enumerate(passed) if not ok), default=0)

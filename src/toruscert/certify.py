@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _speedups
+from .anosov import power_bound, power_report_to_json, scaled_trace_criterion
 from .classmaps import classmap_from_json, classmap_to_json
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt, integer
 from .matrices import UnimodularZ, compose, denominator, rational_eigenslopes
 from .serialize import matrix_from_json, matrix_to_json, slope_to_json
 from .slopes import Slope
@@ -61,12 +62,6 @@ def trace_criterion(m):
     return scaled_trace_criterion(a + d, denominator(m))
 
 
-def scaled_trace_criterion(scaled_trace, d):
-    """trace_criterion from T = d(m) trace(m) and d = d(m): |T| < 2 or |T| > 2 d^2."""
-    t = abs(scaled_trace)
-    return t < 2 or t > 2 * d * d
-
-
 @dataclass(frozen=True)
 class MapDistanceResult:
     """Exact 0-or-1 lower bound plus bounded empirical displacement data."""
@@ -96,14 +91,7 @@ def map_distance(m, search_bound=DEFAULT_SEARCH_BOUND):
     and may stop early once the exact bound is attained.  The search bound
     is an int from 1 to MAX_SEARCH_BOUND.
     """
-    if (
-        isinstance(search_bound, bool)
-        or not isinstance(search_bound, int)
-        or not 1 <= search_bound <= MAX_SEARCH_BOUND
-    ):
-        raise InvalidInputError(
-            f"search bound must be an integer from 1 to {MAX_SEARCH_BOUND}"
-        )
+    integer(search_bound, "search bound", 1, MAX_SEARCH_BOUND)
     eig = rational_eigenslopes(m)
     if eig.fixes_all or eig.slopes:
         lower = 0
@@ -206,7 +194,7 @@ def collection_distance(orderings, search_bound=DEFAULT_SEARCH_BOUND):
     for label, gluings in orderings:
         gluings = list(gluings)
         if not gluings:
-            raise InvalidInputError(f"ordering {label!r} has no gluings")
+            raise InvalidInputError(f"ordering {excerpt(label)} has no gluings")
         certs = tuple(
             c_distance(phi, classes, search_bound) for phi, classes in gluings
         )
@@ -296,32 +284,24 @@ def _list_field(record, key, what):
 
 
 def _parse_certificate_json(data):
-    """The gluing and the (class map, search bound) entries of a certificate."""
+    """The gluing, the class maps and the one search bound of a certificate."""
     phi = matrix_from_json(_field(data, "gluing", "certificate"), integral=True)
-    entries = []
+    classes = []
+    bounds = set()
     for e in _list_field(data, "per_class", "certificate"):
-        cm = classmap_from_json(_field(e, "class_map", "per-class entry"))
+        classes.append(classmap_from_json(_field(e, "class_map", "per-class entry")))
         result = _field(e, "result", "per-class entry")
         bound = _field(result, "search_bound", "per-class result")
-        if isinstance(bound, bool) or not isinstance(bound, int):
-            raise InvalidInputError(f"search bound must be an integer, got {bound!r}")
-        entries.append((cm, bound))
-    if not entries:
+        bounds.add(integer(bound, "search bound"))
+    if not classes:
         raise InvalidInputError("certificate has no per-class entries")
-    return phi, entries
+    if len(bounds) != 1:
+        raise InvalidInputError("certificate mixes search bounds; cannot recompute")
+    return phi, classes, bounds.pop()
 
 
 def _recompute_certificate_json(data):
-    phi, entries = _parse_certificate_json(data)
-    per_class = []
-    for cm, bound in entries:
-        per_class.append((cm, map_distance(compose(phi, cm.phi), bound)))
-    lower = min(result.lower_bound for _, result in per_class)
-    return certificate_to_json(
-        DistanceCertificate(
-            gluing=phi, per_class=tuple(per_class), c_distance_lower_bound=lower
-        )
-    )
+    return certificate_to_json(c_distance(*_parse_certificate_json(data)))
 
 
 def _recompute_collection_json(data):
@@ -334,17 +314,12 @@ def _recompute_collection_json(data):
         label = _field(o, "label", "ordering")
         certificates = _list_field(o, "certificates", "ordering")
         if not certificates:
-            raise InvalidInputError(f"ordering {label!r} has no certificates")
+            raise InvalidInputError(f"ordering {excerpt(label)} has no certificates")
         gluings = []
         for cert in certificates:
-            phi, entries = _parse_certificate_json(cert)
-            cert_bounds = {bound for _, bound in entries}
-            if len(cert_bounds) != 1:
-                raise InvalidInputError(
-                    "certificate mixes search bounds; cannot recompute"
-                )
-            bounds |= cert_bounds
-            gluings.append((phi, [cm for cm, _ in entries]))
+            phi, classes, bound = _parse_certificate_json(cert)
+            bounds.add(bound)
+            gluings.append((phi, classes))
         parsed.append((label, gluings))
     if len(bounds) != 1:
         raise InvalidInputError("collection mixes search bounds; cannot recompute")
@@ -352,8 +327,6 @@ def _recompute_collection_json(data):
 
 
 def _recompute_power_report_json(data):
-    from .anosov import power_bound, power_report_to_json
-
     what = "power-bound report"
     sigma = matrix_from_json(_field(data, "sigma", what), integral=True)
     psi = matrix_from_json(_field(data, "psi", what), integral=True)
@@ -381,4 +354,4 @@ def verify_report(data):
         return _recompute_collection_json(data) == data
     if kind == "power-bound-report":
         return _recompute_power_report_json(data) == data
-    raise InvalidInputError(f"unknown report kind {kind!r}")
+    raise InvalidInputError(f"unknown report kind {excerpt(kind)}")

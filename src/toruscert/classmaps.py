@@ -12,17 +12,18 @@ as raw matrices with provenance "external".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BoundaryCountError,
     DegenerateClassError,
     InvalidInputError,
+    excerpt,
+    integer,
 )
 from .matrices import PrimitiveClass, UnimodularQ, compose, from_scaled
 from .normal import curve_types, from_slope
 from .serialize import matrix_from_json, matrix_to_json
-from .slopes import bezout
+from .slopes import Slope, _as_int, bezout
 
 __all__ = [
     "ClassMap",
@@ -36,11 +37,6 @@ __all__ = [
 ]
 
 PROVENANCES = ("single-slope", "two-surface", "external")
-
-
-def _is_int(x):
-    # bool is an int subclass, but True is not a count or a curve type.
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -61,17 +57,13 @@ class ClassMap:
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
-            raise InvalidInputError(f"unknown provenance {self.provenance!r}")
-        if not _is_int(self.complexity_bound) or self.complexity_bound < 0:
-            raise InvalidInputError(
-                "complexity bound must be a natural number, "
-                f"got {self.complexity_bound!r}"
-            )
+            raise InvalidInputError(f"unknown provenance {excerpt(self.provenance)}")
+        integer(self.complexity_bound, "complexity bound", least=0)
         if self.type_pair is not None:
-            if len(self.type_pair) != 2 or any(
-                not _is_int(t) or t not in (1, 2, 3) for t in self.type_pair
-            ):
-                raise InvalidInputError(f"bad type pair {self.type_pair!r}")
+            if len(self.type_pair) != 2:
+                raise InvalidInputError(f"bad type pair {excerpt(self.type_pair)}")
+            for t in self.type_pair:
+                integer(t, "a curve type", 1, 3)
         if self.basis is not None:
             self._check_basis()
 
@@ -79,19 +71,20 @@ class ClassMap:
         """The basis must define phi, as build_from_two_surfaces does."""
         if self.provenance != "two-surface":
             raise InvalidInputError(
-                f"only two-surface class maps carry a basis, not {self.provenance!r} ones"
+                "only two-surface class maps carry a basis, "
+                f"not {excerpt(self.provenance)} ones"
             )
         if (
             not isinstance(self.basis, tuple)
             or len(self.basis) != 4
-            or not all(
-                isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
-                for v in self.basis
-            )
+            or not all(isinstance(v, tuple) and len(v) == 2 for v in self.basis)
         ):
             raise InvalidInputError(
-                f"basis must be four pairs of integers, got {self.basis!r}"
+                f"basis must be four pairs of integers, got {excerpt(self.basis)}"
             )
+        for v in self.basis:
+            for x in v:
+                integer(x, "a basis entry")
         if from_scaled(*_basis_map(*self.basis)) != self.phi:
             raise InvalidInputError("basis does not reproduce phi")
 
@@ -108,16 +101,7 @@ def _as_vector(v):
     if isinstance(v, PrimitiveClass):
         return v.vector()
     x, y = v
-    out = []
-    for entry in (x, y):
-        if isinstance(entry, bool):
-            raise InvalidInputError("boundary vectors must be integer pairs")
-        if isinstance(entry, Fraction) and entry.denominator == 1:
-            entry = int(entry)
-        if not isinstance(entry, int):
-            raise InvalidInputError("boundary vectors must be integer pairs")
-        out.append(entry)
-    return tuple(out)
+    return tuple(_as_int(entry, "a boundary vector entry") for entry in (x, y))
 
 
 def _det(u, v):
@@ -144,7 +128,8 @@ def _basis_map(r1, s1, r2, s2):
     det1 = _det(r1, s1)
     if det1 != det2:
         raise BoundaryCountError(
-            f"det(r1 s1) = {det1} differs from det(r2 s2) = {det2}; "
+            f"det(r1 s1) = {excerpt(det1)} differs from "
+            f"det(r2 s2) = {excerpt(det2)}; "
             "boundary data violates the intersection-count constraint"
         )
     return (
@@ -168,14 +153,8 @@ def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
     """
     r1, s1, r2, s2 = (_as_vector(v) for v in (r1, s1, r2, s2))
     phi = from_scaled(*_basis_map(r1, s1, r2, s2))
-    type1 = _shared_type(
-        PrimitiveClass.from_vector(*r1).slope(),
-        PrimitiveClass.from_vector(*s1).slope(),
-    )
-    type2 = _shared_type(
-        PrimitiveClass.from_vector(*r2).slope(),
-        PrimitiveClass.from_vector(*s2).slope(),
-    )
+    type1 = _shared_type(Slope(*r1), Slope(*s1))
+    type2 = _shared_type(Slope(*r2), Slope(*s2))
     type_pair = (type1, type2) if type1 is not None and type2 is not None else None
     return ClassMap(
         phi,
@@ -271,8 +250,7 @@ def class_count_bound(t):
     t is the number of tetrahedra; t = 0 is accepted as a degenerate
     formula value even though a triangulation has at least one.
     """
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-        raise InvalidInputError(f"tetrahedron count must be a natural, got {t!r}")
+    t = integer(t, "tetrahedron count", least=0)
     return 9 * 3**t
 
 
@@ -295,12 +273,14 @@ def classmap_to_json(cm):
 
 def classmap_from_json(record):
     if not isinstance(record, dict) or "phi" not in record:
-        raise InvalidInputError(f"class map record must have a 'phi' key: {record!r}")
+        raise InvalidInputError(
+            f"class map record must have a 'phi' key: {excerpt(record)}"
+        )
     phi = matrix_from_json(record["phi"])
     type_pair = record.get("type_pair")
     if type_pair is not None:
         if not isinstance(type_pair, list) or len(type_pair) != 2:
-            raise InvalidInputError(f"bad type_pair {type_pair!r}")
+            raise InvalidInputError(f"bad type_pair {excerpt(type_pair)}")
         type_pair = (type_pair[0], type_pair[1])
     basis = None
     if "basis" in record:
@@ -309,7 +289,7 @@ def classmap_from_json(record):
         if not isinstance(raw, dict) or not all(
             isinstance(raw.get(k), list) for k in keys
         ):
-            raise InvalidInputError(f"bad basis block {raw!r}")
+            raise InvalidInputError(f"bad basis block {excerpt(raw)}")
         basis = tuple(tuple(raw[k]) for k in keys)
     return ClassMap(
         phi,

@@ -56,7 +56,6 @@ STATUS_EXIT = {
     "ok": EXIT_OK,
     "certified": EXIT_OK,
     "distance-zero": EXIT_DISTANCE_ZERO,
-    "invalid-input": EXIT_INVALID,
 }
 
 
@@ -72,7 +71,7 @@ def _parse_matrix(text, integral=False):
 def _reject_floats(data):
     if isinstance(data, float):
         raise InvalidInputError(
-            f"floating-point value {data!r} rejected: inputs must be exact"
+            f"floating-point value {excerpt(data)} rejected: inputs must be exact"
         )
     if isinstance(data, list):
         for item in data:
@@ -82,27 +81,15 @@ def _reject_floats(data):
             _reject_floats(value)
 
 
-def _parse_coords(text):
+def _parse_ints(text, form):
+    """The integers of a comma list shaped like form, such as "p,q"."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise InvalidInputError(
-            f"normal coordinates must be x1,x2,x3: {excerpt(text)}"
-        )
+    if len(parts) != form.count(",") + 1:
+        raise InvalidInputError(f"expected {form}, got {excerpt(text)}")
     try:
-        x1, x2, x3 = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise InvalidInputError(f"malformed coordinates {excerpt(text)}") from exc
-    return NormalCoordinates(x1, x2, x3)
-
-
-def _parse_vector(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInputError(f"vectors must be p,q: {excerpt(text)}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed vector {excerpt(text)}") from exc
+        raise InvalidInputError(f"malformed {form} list {excerpt(text)}") from exc
 
 
 def _load_json_file(path):
@@ -110,9 +97,9 @@ def _load_json_file(path):
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read {excerpt(path)}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
+        raise InvalidInputError(f"malformed JSON in {excerpt(path)}: {exc}") from exc
     _reject_floats(data)
     return data
 
@@ -122,7 +109,9 @@ def _load_classes(path):
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
-        raise InvalidInputError(f"{path}: class file must be a record or a list")
+        raise InvalidInputError(
+            f"{excerpt(path)}: class file must be a record or a list"
+        )
     return [classmap_from_json(record) for record in data]
 
 
@@ -180,7 +169,7 @@ def _cmd_matrix_eigenslopes(args):
 
 
 def _cmd_normal_slope(args):
-    x = _parse_coords(args.coords)
+    x = NormalCoordinates(*_parse_ints(args.coords, "x1,x2,x3"))
     dec = decompose(x)
     s = slope_of(x)
     return {
@@ -197,8 +186,8 @@ def _cmd_normal_coords(args):
 
 
 def _cmd_normal_intersect(args):
-    x = _parse_coords(args.x)
-    y = _parse_coords(args.y)
+    x = NormalCoordinates(*_parse_ints(args.x, "x1,x2,x3"))
+    y = NormalCoordinates(*_parse_ints(args.y, "x1,x2,x3"))
     si = normal_sign_intersections(x, y)
     return {
         "positives": si.positives,
@@ -210,10 +199,7 @@ def _cmd_normal_intersect(args):
 
 def _cmd_classmap_from_surfaces(args):
     cm = build_from_two_surfaces(
-        _parse_vector(args.r1),
-        _parse_vector(args.s1),
-        _parse_vector(args.r2),
-        _parse_vector(args.s2),
+        *(_parse_ints(v, "p,q") for v in (args.r1, args.s1, args.r2, args.s2)),
         complexity_bound=args.complexity,
     )
     return classmap_to_json(cm), "ok"
@@ -248,14 +234,15 @@ def _cmd_certify_collection(args):
     orderings = []
     for entry in _records(spec["orderings"], "collection spec 'orderings'"):
         label = entry.get("label", f"ordering-{len(orderings)}")
+        quoted = excerpt(label)
         gluings = []
-        for g in _records(entry.get("gluings", []), f"gluings of {label!r}"):
+        for g in _records(entry.get("gluings", []), f"gluings of {quoted}"):
             if "phi" not in g:
-                raise InvalidInputError(f"a gluing of {label!r} has no 'phi' matrix")
+                raise InvalidInputError(f"a gluing of {quoted} has no 'phi' matrix")
             phi = matrix_from_json(g["phi"], integral=True)
             classes = [
                 classmap_from_json(r)
-                for r in _records(g.get("classes", []), f"classes of {label!r}")
+                for r in _records(g.get("classes", []), f"classes of {quoted}")
             ]
             gluings.append((phi, classes))
         orderings.append((label, gluings))
@@ -264,9 +251,9 @@ def _cmd_certify_collection(args):
 
 
 def _cmd_certify_verify(args):
-    data = _load_json_file(args.report)
-    ok = verify_report(data)
-    return {"verified": ok}, ("ok" if ok else "invalid-input")
+    if not verify_report(_load_json_file(args.report)):
+        raise InvalidInputError("report does not match its recomputation")
+    return {"verified": True}, "ok"
 
 
 def _cmd_anosov_power(args):
@@ -288,7 +275,9 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors follow the exit-code contract."""
 
     def error(self, message):
-        raise InvalidInputError(f"{self.prog}: {shorten(message, 200)}")
+        # argparse quotes bad arguments whole, and JSON may spend two bytes on
+        # each character kept: 100 characters keep the line under 300 bytes.
+        raise InvalidInputError(f"{self.prog}: {shorten(message, 100)}")
 
 
 def build_parser():

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, excerpt, integer
 from .slopes import Slope
 
 __all__ = [
@@ -35,7 +35,7 @@ def _frac(x):
         raise InvalidInputError("matrix entries must be rational, got bool")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    raise InvalidInputError(f"matrix entries must be exact rationals, got {x!r}")
+    raise InvalidInputError(f"matrix entries must be exact rationals, got {excerpt(x)}")
 
 
 def _init(m, scaled, den):
@@ -49,7 +49,9 @@ def _checked(m):
     a, b, c, d = m.scaled
     if a * d - b * c != m._den**2:
         det = Fraction(a * d - b * c, m._den**2)
-        raise InvalidInputError(f"matrix {m} has determinant {det}, expected 1")
+        raise InvalidInputError(
+            f"matrix {excerpt(m)} has determinant {excerpt(det)}, expected 1"
+        )
     return m
 
 
@@ -136,7 +138,7 @@ class UnimodularZ(UnimodularQ):
     def __init__(self, a, b, c, d):
         super().__init__(a, b, c, d)
         if self._den != 1:
-            raise InvalidInputError(f"integer matrix expected, got {self}")
+            raise InvalidInputError(f"integer matrix expected, got {excerpt(self)}")
 
 
 def from_scaled(a, b, c, d, den):
@@ -239,16 +241,13 @@ class PrimitiveClass:
     __slots__ = ("p", "q", "multiplicity")
 
     def __init__(self, p, q, multiplicity=1):
-        if isinstance(p, bool) or isinstance(q, bool):
-            raise InvalidInputError("primitive class entries must be integers")
-        if not (isinstance(p, int) and isinstance(q, int)):
-            raise InvalidInputError("primitive class entries must be integers")
+        p = integer(p, "a primitive class entry")
+        q = integer(q, "a primitive class entry")
         if p == 0 and q == 0:
             raise InvalidInputError("primitive class cannot be the zero vector")
         if math.gcd(abs(p), abs(q)) != 1:
-            raise InvalidInputError(f"({p}, {q}) is not primitive")
-        if not isinstance(multiplicity, int) or multiplicity < 1:
-            raise InvalidInputError("multiplicity must be a positive integer")
+            raise InvalidInputError(f"{excerpt((p, q))} is not primitive")
+        multiplicity = integer(multiplicity, "multiplicity", least=1)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "multiplicity", multiplicity)

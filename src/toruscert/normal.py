@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidInputError, NoEssentialComponentError
+from .errors import InvalidInputError, NoEssentialComponentError, excerpt, integer
 from .slopes import Slope
 
 __all__ = [
@@ -55,10 +55,7 @@ class NormalCoordinates:
 
     def __post_init__(self):
         for x in self.triple():
-            if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-                raise InvalidInputError(
-                    f"normal coordinates must be naturals, got {self.triple()}"
-                )
+            integer(x, "a normal coordinate", least=0)
 
     def triple(self):
         return (self.x1, self.x2, self.x3)
@@ -136,7 +133,7 @@ def slope_of(x):
     dec = decompose(x)
     if dec.essential_slope is None:
         raise NoEssentialComponentError(
-            f"normal coordinates {x} carry no essential component"
+            f"normal coordinates {excerpt(x.triple())} carry no essential component"
         )
     return dec.essential_slope
 
@@ -152,10 +149,8 @@ def _essential_coordinates(s, mult):
 
 def from_slope(s, mult=1, trivial=0):
     """Minimal coordinates of mult parallel s-curves plus trivial vertex links."""
-    if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-        raise InvalidInputError("multiplicity must be a positive integer")
-    if isinstance(trivial, bool) or not isinstance(trivial, int) or trivial < 0:
-        raise InvalidInputError("trivial count must be a natural number")
+    integer(mult, "multiplicity", least=1)
+    integer(trivial, "trivial count", least=0)
     e1, e2, e3 = _essential_coordinates(s, mult)
     return NormalCoordinates(e1 + trivial, e2 + trivial, e3 + trivial)
 
@@ -233,10 +228,11 @@ def oriented_class(type_index, s):
 
     the shared-type case of the determinant in normal_sign_intersections.
     """
-    if type_index not in (1, 2, 3):
-        raise InvalidInputError(f"curve type must be 1, 2 or 3, got {type_index}")
+    integer(type_index, "a curve type", 1, 3)
     if type_index not in curve_types(from_slope(s)):
-        raise InvalidInputError(f"slope {s} is not a type {type_index} curve")
+        raise InvalidInputError(
+            f"slope {excerpt(s)} is not a type {type_index} curve"
+        )
     if type_index == 3 and s.q == 0:
         return (-1, 0)
     return (s.p, s.q)

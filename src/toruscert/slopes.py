@@ -12,19 +12,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError, excerpt
+from .errors import InvalidInputError, excerpt, integer
 
 __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
 
 
-def _as_int(x):
-    if isinstance(x, bool):
-        raise InvalidInputError(f"slope entries must be integers, got {x!r}")
+def _as_int(x, what="a slope entry"):
+    """x as an int; an integral Fraction is converted, all else must pass integer()."""
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
-    if not isinstance(x, int):
-        raise InvalidInputError(f"slope entries must be integers, got {x!r}")
-    return x
+    return integer(x, what)
 
 
 class Slope:

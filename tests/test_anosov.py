@@ -10,6 +10,7 @@ from tests.conftest import (
     random_unimodular_q,
     random_unimodular_z,
 )
+from toruscert import anosov
 from toruscert.anosov import (
     MAX_TRACE_INDEX,
     is_hyperbolic,
@@ -231,3 +232,13 @@ def test_negative_trace_handled():
         t, d = abs(m.trace()), denominator(m)
         assert t * d < 2 or t > 2 * d
         m = compose(sigma, m)
+
+
+def test_tail_search_cap_is_an_input_error(monkeypatch):
+    k_map = ClassMap.external(SIGMA**-15)  # traces fall until n = 15
+    tail = power_bound(SIGMA, IDENT, [k_map]).per_class[0].tail_index
+    assert tail == 15
+    # The search tries indices 0 .. cap - 1, so a cap of tail misses it.
+    monkeypatch.setattr(anosov, "_TAIL_SEARCH_CAP", tail)
+    with pytest.raises(InvalidInputError):
+        power_bound(SIGMA, IDENT, [k_map])

@@ -134,6 +134,14 @@ def test_certificates_self_validate(rng):
         assert not verify_report(data)
 
 
+def test_certificate_with_mixed_search_bounds_is_rejected():
+    classes = [ClassMap.identity(), build_from_single_slope(Slope(2, 3), Slope(1, 1))]
+    data = certificate_to_json(c_distance(UnimodularZ(0, 1, -1, 0), classes, 5))
+    data["per_class"][1]["result"]["search_bound"] = 6
+    with pytest.raises(InvalidInputError, match="mixes search bounds"):
+        verify_report(data)
+
+
 def test_collection_distance():
     ident = ClassMap.identity()
     rot = UnimodularZ(0, 1, -1, 0)

@@ -81,6 +81,21 @@ def test_certify_verify_roundtrip(tmp_path, identity_classes):
     assert json.loads(v.stdout) == {"verified": True}
 
 
+def test_certify_verify_mismatch_is_an_error(tmp_path, identity_classes):
+    r = run_cli(
+        "certify", "gluing", "--phi", "[[0,1],[-1,0]]", "--classes", identity_classes
+    )
+    cert = json.loads(r.stdout)
+    cert["c_distance_lower_bound"] = 0
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    v = run_cli("certify", "verify", str(cert_file))
+    assert v.returncode == 1
+    assert v.stdout == ""
+    assert v.stderr.count("\n") == 1
+    assert "recomputation" in json.loads(v.stderr)["error"]
+
+
 def test_certify_collection(tmp_path, identity_classes):
     spec = {
         "search_bound": 20,

@@ -225,3 +225,8 @@ def test_primitive_class():
         PrimitiveClass(2, 4)
     with pytest.raises(InvalidInputError):
         PrimitiveClass.from_vector(0, 0)
+
+
+def test_primitive_class_rejects_a_bool_multiplicity():
+    with pytest.raises(InvalidInputError):
+        PrimitiveClass(1, 0, True)
