@@ -19,10 +19,18 @@ covering the whole tail.  The only other possibility over the rationals is
 T_n identically zero from some point on (K exchanges the two
 eigendirections, forcing two consecutive zero traces), where the
 small-trace branch of the test holds forever.
+
+Powers below the certified index report their eigenslopes.  (A, B, C, D)
+= d sigma^n K has trace T_n and determinant d^2, so the discriminant that
+rational_eigenslopes tests, (D - A)^2 + 4 B C, is T_n^2 - 4 d^2.  If that
+is negative or not a square, C != 0 (C = 0 leaves the square (D - A)^2)
+and sigma^n K is not +-I (where it is 0), so no slope is fixed; only the
+powers with a square discriminant are built as matrices.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +38,7 @@ from fractions import Fraction
 from .classmaps import classmap_to_json
 from .errors import InvalidInputError, integer
 from .matrices import (
+    Eigenslopes,
     UnimodularZ,
     compose,
     denominator,
@@ -52,6 +61,7 @@ _TAIL_SEARCH_CAP = 100_000
 # The largest n_max of trace_sequence.  At |trace(sigma)| = 3, the least
 # hyperbolic one, t_10000 of sigma^n alone has about 4,200 digits.
 MAX_TRACE_INDEX = 10_000
+_NONE_FIXED = Eigenslopes(fixes_all=False, slopes=())  # one shared empty set
 
 
 def is_hyperbolic(sigma):
@@ -154,18 +164,20 @@ def _class_power_bound(sigma, psi, cm):
     passed = [scaled_trace_criterion(t, d_k) for t in traces[:tail_start]]
     n_class = max((i + 1 for i, ok in enumerate(passed) if not ok), default=0)
     prefix = []
-    m = k
     for i in range(n_class):
+        disc = traces[i] ** 2 - 2 * bound  # T_i^2 - 4 d^2, see the docstring
+        square = disc >= 0 and math.isqrt(disc) ** 2 == disc
         prefix.append(
             PrefixDiagnostic(
                 n=i,
                 trace=Fraction(traces[i], d_k),
                 denominator=d_k,
                 criterion_passed=passed[i],
-                eigenslopes=rational_eigenslopes(m),
+                eigenslopes=(
+                    rational_eigenslopes(sigma**i * k) if square else _NONE_FIXED
+                ),
             )
         )
-        m = compose(sigma, m)
     return ClassPowerBound(
         class_map=cm,
         n_class=n_class,

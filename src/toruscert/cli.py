@@ -30,7 +30,7 @@ from .classmaps import (
     classmap_from_json,
     classmap_to_json,
 )
-from .errors import InvalidInputError, excerpt, shorten
+from .errors import InvalidInputError, ascii_integer, excerpt, shorten
 from .farey import distance, geodesic
 from .matrices import lft_apply, rational_eigenslopes
 from .normal import (
@@ -87,7 +87,7 @@ def _parse_ints(text, form):
     if len(parts) != form.count(",") + 1:
         raise InvalidInputError(f"expected {form}, got {excerpt(text)}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(ascii_integer(p) for p in parts)
     except ValueError as exc:
         raise InvalidInputError(f"malformed {form} list {excerpt(text)}") from exc
 
@@ -126,12 +126,11 @@ def _default_bound():
     if raw is None:
         return DEFAULT_SEARCH_BOUND
     try:
-        value = int(raw)
+        return ascii_integer(raw)
     except ValueError as exc:
         raise InvalidInputError(
             f"TORUSCERT_SEARCH_BOUND must be an integer, got {excerpt(raw)}"
         ) from exc
-    return value
 
 
 # --- handlers: each returns (payload, status) ------------------------------
@@ -331,8 +330,8 @@ def build_parser():
     p.set_defaults(handler=_cmd_normal_slope)
     p = normal.add_parser("coords", help="normal coordinates of a slope")
     p.add_argument("slope")
-    p.add_argument("--mult", type=int, default=1)
-    p.add_argument("--trivial", type=int, default=0)
+    p.add_argument("--mult", type=ascii_integer, default=1)
+    p.add_argument("--trivial", type=ascii_integer, default=0)
     p.set_defaults(handler=_cmd_normal_coords)
     p = normal.add_parser("intersect", help="signed intersections of two curves")
     p.add_argument("x", metavar="x1,x2,x3")
@@ -347,12 +346,12 @@ def build_parser():
     p.add_argument("--s1", required=True, metavar="p,q")
     p.add_argument("--r2", required=True, metavar="p,q")
     p.add_argument("--s2", required=True, metavar="p,q")
-    p.add_argument("--complexity", type=int, default=0)
+    p.add_argument("--complexity", type=ascii_integer, default=0)
     p.set_defaults(handler=_cmd_classmap_from_surfaces)
     p = classmap.add_parser("from-slopes", help="canonical class map from slopes")
     p.add_argument("tau1")
     p.add_argument("tau2")
-    p.add_argument("--complexity", type=int, default=0)
+    p.add_argument("--complexity", type=ascii_integer, default=0)
     p.set_defaults(handler=_cmd_classmap_from_slopes)
 
     certify = sub.add_parser("certify", help="c-distance certificates").add_subparsers(
@@ -361,11 +360,11 @@ def build_parser():
     p = certify.add_parser("gluing", help="certificate for one gluing map")
     p.add_argument("--phi", required=True)
     p.add_argument("--classes", required=True, metavar="FILE")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=ascii_integer, default=None)
     p.set_defaults(handler=_cmd_certify_gluing)
     p = certify.add_parser("collection", help="generalized distance over orderings")
     p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=ascii_integer, default=None)
     p.set_defaults(handler=_cmd_certify_collection)
     p = certify.add_parser("verify", help="recompute and confirm an emitted report")
     p.add_argument("report", metavar="FILE")
@@ -382,7 +381,7 @@ def build_parser():
     p = anosov.add_parser("trace", help="trace sequence of sigma^n k")
     p.add_argument("--sigma", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=ascii_integer, required=True)
     p.set_defaults(handler=_cmd_anosov_trace)
 
     return parser

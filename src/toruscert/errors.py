@@ -2,10 +2,11 @@
 
 Everything the CLI maps to exit code 1 derives from InvalidInputError, so
 library users can catch one type and commands can classify failures without
-string matching.  integer() is the one rule for integer inputs, and every
-outside value an error message quotes goes through excerpt().
+string matching.  integer() and ascii_integer() (for text) are the rules
+for integer inputs, and excerpt() quotes every outside value an error shows.
 """
 
+import re
 import sys
 
 
@@ -83,3 +84,16 @@ def integer(value, what, least=None, most=None):
             need = "an integer"
         raise InvalidInputError(f"{what} must be {need}, got {excerpt(value)}")
     return value
+
+
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() also reads "1_0", " 1", "\u0661"
+
+
+def ascii_integer(text):
+    """int(text) for an optional sign and ASCII digits 0-9, else InvalidInputError."""
+    try:
+        if _ASCII_INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    raise InvalidInputError(f"not a printable decimal integer: {excerpt(text)}")

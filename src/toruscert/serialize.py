@@ -7,11 +7,12 @@ approximation.  Slopes serialize as "p/q" with "1/0" for infinity.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
-from .errors import InvalidInputError, excerpt
-from .matrices import UnimodularQ, UnimodularZ
+from .errors import InvalidInputError, ascii_integer, excerpt
+from .matrices import UnimodularQ, UnimodularZ, denominator
 from .slopes import Slope
 
 __all__ = [
@@ -32,30 +33,31 @@ def digit_limit_error():
     )
 
 
-def format_fraction(f):
-    """"p" or "p/q"; InvalidInputError past sys.get_int_max_str_digits()."""
-    f = Fraction(f)
+def _format_ratio(num, den):
+    """"num" or "num/den" for coprime num and den >= 1, as format_fraction."""
     try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError as exc:
         raise digit_limit_error() from exc
 
 
+def format_fraction(f):
+    """"p" or "p/q"; InvalidInputError past sys.get_int_max_str_digits()."""
+    if not isinstance(f, Fraction):
+        f = Fraction(f)
+    return _format_ratio(f.numerator, f.denominator)
+
+
 def parse_fraction(value):
-    """Exact rational from an int or a "p"/"p/q" string; floats rejected."""
+    """Exact rational from an int or a "p"/"p/q" string of ASCII integers."""
     if isinstance(value, bool):
         raise InvalidInputError(f"not a rational: {excerpt(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
+            num, slash, den = value.partition("/")
+            return Fraction(ascii_integer(num), ascii_integer(den) if slash else 1)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"malformed rational {excerpt(value)}") from exc
     raise InvalidInputError(
@@ -64,10 +66,10 @@ def parse_fraction(value):
 
 
 def matrix_to_json(m):
-    return [
-        [format_fraction(m.a), format_fraction(m.b)],
-        [format_fraction(m.c), format_fraction(m.d)],
-    ]
+    den = denominator(m)
+    gcds = [math.gcd(x, den) for x in m.scaled]
+    a, b, c, d = (_format_ratio(x // g, den // g) for x, g in zip(m.scaled, gcds))
+    return [[a, b], [c, d]]
 
 
 def matrix_from_json(data, integral=False):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError, excerpt, integer
+from .errors import InvalidInputError, ascii_integer, excerpt, integer
 
 __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
 
@@ -71,13 +71,10 @@ class Slope:
 
     @classmethod
     def parse(cls, text):
-        """Parse "p/q" or "p"; "1/0" is infinity.  Rejects anything else."""
-        text = text.strip()
+        """Parse "p/q" or "p" of ASCII integers; "1/0" is infinity."""
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                return cls(int(num), int(den))
-            return cls(int(text), 1)
+            num, slash, den = text.partition("/")
+            return cls(ascii_integer(num), ascii_integer(den) if slash else 1)
         except ValueError as exc:
             raise InvalidInputError(f"malformed slope {excerpt(text)}") from exc
 

@@ -205,6 +205,39 @@ def test_power_bound_matches_fraction_powers(rng):
             assert p.eigenslopes == fraction_eigenslopes(powers[p.n])
 
 
+_P = UnimodularQ(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), 3)
+PREFIX_POWERS = {
+    # name: (X, the eigenslopes of X); K = sigma^-j X puts X at prefix entry j
+    "identity": (IDENT, "all"),
+    "minus-identity": (UnimodularZ(-1, 0, 0, -1), "all"),
+    "parabolic": (UnimodularZ(1, 1, 0, 1), ["1/0"]),
+    "diagonal-d2": (UnimodularQ(2, 0, 0, Fraction(1, 2)), ["0/1", "1/0"]),
+    # P diag(3, 1/3) P^-1 fixes the slopes of P's columns, 1/3 and 1/9; d = 9
+    "rational-conjugate": (
+        _P * UnimodularQ(3, 0, 0, Fraction(1, 3)) * _P.invert(), ["1/9", "1/3"]
+    ),
+    # a conjugate of an order-4 elliptic: trace 0, d = 18
+    "order-4-elliptic": (_P * UnimodularZ(1, -2, 1, -1) * _P.invert(), []),
+}
+
+
+@pytest.mark.parametrize("x, expected", PREFIX_POWERS.values(), ids=PREFIX_POWERS)
+def test_prefix_eigenslopes_from_the_trace(x, expected):
+    # Every prefix entry against sigma^n K built by repeated compose, and
+    # entry j, the power sigma^j K = X, against the slopes X fixes.
+    for j in (3, 5):
+        k = compose(SIGMA**-j, x)
+        report = power_bound(SIGMA, IDENT, [ClassMap.external(k)])
+        pc = report.per_class[0]
+        assert pc.n_class > j and pc.d_k == denominator(x)
+        m = k
+        for p in pc.prefix:
+            assert p.eigenslopes == rational_eigenslopes(m)
+            m = compose(SIGMA, m)
+        entry = power_report_to_json(report)["per_class"][0]["prefix"][j]
+        assert entry["eigenslopes"] == expected
+
+
 def test_power_bound_preconditions():
     with pytest.raises(InvalidInputError):
         power_bound(IDENT, IDENT, [ClassMap.identity()])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from toruscert import cli
 from toruscert.certify import c_distance, certificate_to_json
 from toruscert.classmaps import ClassMap
-from toruscert.errors import InvalidInputError, excerpt, integer
+from toruscert.errors import InvalidInputError, ascii_integer, excerpt, integer
 from toruscert.matrices import UnimodularZ
 
 BIG = 10**3000  # 3001 digits: its square is past the 4300-digit printing limit
@@ -79,6 +79,29 @@ EXPLICIT = {
     "tampered-report": (
         ["certify", "verify", "{report}"],
         {"report": json.dumps(dict(CERTIFICATE, c_distance_lower_bound=0))}),
+    # Integers as text are an optional sign and ASCII digits, nothing else.
+    "slope-with-underscore-and-arabic-indic-digit": (
+        ["farey", "dist", "1_0/3", "\u0661/2"], {}),
+    "slope-with-surrounding-space": (["farey", "dist", " 1/3", "1/2"], {}),
+    "coordinates-with-underscore-and-space": (
+        ["normal", "intersect", " 1_0,0,1", "0,\u0661,1"], {}),
+    "vector-with-fullwidth-digit": (
+        ["classmap", "from-surfaces", "--r1=\uff11,0", "--s1=1,1", "--r2=0,1",
+         "--s2=-1,1"], {}),
+    "matrix-entry-with-underscore": (
+        ["matrix", "eigenslopes", '[["1_0","0"],["0","1/1_0"]]'], {}),
+    "class-file-entry-with-arabic-indic-digit": (
+        GLUING, classes({"phi": [["\u0661", "0"], ["0", "1"]]})),
+    "bound-with-underscore": (GLUING[:-1] + ["{classes}", "--bound=1_0"],
+                              classes({"phi": IDENTITY})),
+    "count-with-arabic-indic-digit": (
+        ["normal", "coords", "1/2", "--mult=\u0662"], {}),
+    "trivial-with-space": (["normal", "coords", "1/2", "--trivial= 1"], {}),
+    "complexity-with-underscore": (
+        ["classmap", "from-slopes", "1/2", "1/1", "--complexity=0_0"], {}),
+    "trace-index-with-fullwidth-digit": (
+        ["anosov", "trace", "--sigma=[[2,1],[1,1]]", "--k=[[1,0],[0,1]]",
+         "--n=\uff15"], {}),
 }
 
 
@@ -95,6 +118,31 @@ def test_explicit_bad_inputs_exit_1_with_a_short_json_error(
 def test_integer_rejects_all_but_ints_in_range(value):
     with pytest.raises(InvalidInputError):
         integer(value, "a count", 0, 3)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "+", "-", "1_0", " 1", "1 ", "1\n", "\u0661", "\uff11", "1.0", "0x1"]
+)
+def test_ascii_integer_rejects_all_but_sign_and_digits(text):
+    with pytest.raises(InvalidInputError):
+        ascii_integer(text)
+
+
+def test_ascii_integer_reads_sign_and_digits():
+    assert [ascii_integer(t) for t in ("0", "-0", "+7", "007", "-12")] == [0, 0, 7, 7, -12]
+    assert ascii_integer("9" * 4300) == int("9" * 4300)
+    with pytest.raises(InvalidInputError):
+        ascii_integer("9" * 4301)
+
+
+@pytest.mark.parametrize("raw, code", [("5", 0), ("\u0665", 1), (" 5", 1), ("5_0", 1)])
+def test_search_bound_variable_takes_ascii_digits(
+    raw, code, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("TORUSCERT_SEARCH_BOUND", raw)
+    result = run(GLUING, classes({"phi": IDENTITY}), tmp_path, capsys)
+    check_contract(*result)
+    assert result[0] == code
 
 
 def test_integer_returns_ints_in_range():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from tests.conftest import random_unimodular_q, random_unimodular_z
 from toruscert.errors import InvalidInputError
-from toruscert.matrices import UnimodularQ, UnimodularZ
+from toruscert.matrices import UnimodularQ, UnimodularZ, compose
 from toruscert.serialize import (
     format_fraction,
     matrix_from_json,
@@ -27,6 +28,33 @@ def test_fraction_roundtrip():
 def test_format_fraction_rejects_numbers_past_the_digit_limit(value):
     with pytest.raises(InvalidInputError):
         format_fraction(value)
+
+
+def test_matrix_and_fraction_text_match_fraction_strings(rng):
+    # str(Fraction) is "p" or "p/q" in lowest terms, the formatted form.
+    seen_d = set()
+    for i in range(300):
+        if i % 3:
+            m = random_unimodular_q(rng, num_bound=10**6, den_bound=10**4)
+        else:
+            m = random_unimodular_z(rng, length=8, shear=5)
+        entries = [str(x) for x in m.entries()]
+        assert matrix_to_json(m) == [entries[:2], entries[2:]]
+        for x in m.entries():
+            assert format_fraction(x) == str(x)
+            assert format_fraction(x.numerator) == str(x.numerator)
+        seen_d.add(max(x.denominator for x in m.entries()) > 1)
+    assert seen_d == {True, False}
+
+
+@pytest.mark.parametrize(
+    "k", [UnimodularZ(1, 0, 0, 1), UnimodularQ(Fraction(-1, 7), 0, 0, -7)],
+    ids=["integral", "rational"],
+)
+def test_matrix_to_json_rejects_entries_past_the_digit_limit(k):
+    m = compose(UnimodularZ(2, 1, 1, 1) ** 11000, k)  # entries of about 4,600 digits
+    with pytest.raises(InvalidInputError, match="digits"):
+        matrix_to_json(m)
 
 
 def test_parse_fraction_rejects_floats_and_bools():
