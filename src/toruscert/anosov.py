@@ -25,12 +25,19 @@ Powers below the certified index report their eigenslopes.  (A, B, C, D)
 rational_eigenslopes tests, (D - A)^2 + 4 B C, is T_n^2 - 4 d^2.  If that
 is negative or not a square, C != 0 (C = 0 leaves the square (D - A)^2)
 and sigma^n K is not +-I (where it is 0), so no slope is fixed; only the
-powers with a square discriminant are built as matrices.
+powers with a square discriminant are built as matrices.  matrices.is_square
+decides each one: residues mod 64, 63, 65 and 11 reject all but about 1% of
+non-squares, and isqrt settles the rest exactly.
+
+The prefix stays on integers: ClassPowerBound keeps T_n and the eigenslopes
+of each power, and builds PrefixDiagnostic values, with trace T_n / d as a
+Fraction, only when its prefix is read.  The report prints each trace from
+T_n and d with one gcd and tests |T_n| against 2 d^2 computed once per
+class, so its bytes are those of the Fraction form.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +49,10 @@ from .matrices import (
     UnimodularZ,
     compose,
     denominator,
+    is_square,
     rational_eigenslopes,
 )
-from .serialize import format_fraction, matrix_to_json, slope_to_json
+from .serialize import format_fraction, format_ratio, matrix_to_json, slope_to_json
 
 __all__ = [
     "MAX_TRACE_INDEX",
@@ -122,13 +130,29 @@ class PrefixDiagnostic:
 
 @dataclass(frozen=True)
 class ClassPowerBound:
+    """The certified index of one class and the powers below it.
+
+    prefix_traces holds T_n = d_k trace(sigma^n K) and prefix_eigenslopes
+    the eigenslopes of sigma^n K for n = 0 ... n_class - 1.
+    """
+
     class_map: object
     n_class: int
     tail_index: int
     tail_kind: str  # "growth" or "zero"
     tail_traces: tuple
     d_k: int
-    prefix: tuple
+    prefix_traces: tuple
+    prefix_eigenslopes: tuple
+
+    @property
+    def prefix(self):
+        """One PrefixDiagnostic per power below n_class, built on each call."""
+        d = self.d_k
+        return tuple(
+            PrefixDiagnostic(n, Fraction(t, d), d, scaled_trace_criterion(t, d), eig)
+            for n, (t, eig) in enumerate(zip(self.prefix_traces, self.prefix_eigenslopes))
+        )
 
 
 @dataclass(frozen=True)
@@ -160,24 +184,19 @@ def _class_power_bound(sigma, psi, cm):
         raise InvalidInputError(
             f"no certified trace tail within {_TAIL_SEARCH_CAP} powers"
         )
-    # Exact per-power check below the tail; every power has denominator d_k.
-    passed = [scaled_trace_criterion(t, d_k) for t in traces[:tail_start]]
-    n_class = max((i + 1 for i, ok in enumerate(passed) if not ok), default=0)
-    prefix = []
-    for i in range(n_class):
-        disc = traces[i] ** 2 - 2 * bound  # T_i^2 - 4 d^2, see the docstring
-        square = disc >= 0 and math.isqrt(disc) ** 2 == disc
-        prefix.append(
-            PrefixDiagnostic(
-                n=i,
-                trace=Fraction(traces[i], d_k),
-                denominator=d_k,
-                criterion_passed=passed[i],
-                eigenslopes=(
-                    rational_eigenslopes(sigma**i * k) if square else _NONE_FIXED
-                ),
-            )
-        )
+    # N is one past the last power below the tail that fails the test;
+    # every power has denominator d_k, so failing is 2 <= |T| <= 2 d^2.
+    n_class = next(
+        (i + 1 for i in range(tail_start - 1, -1, -1) if 2 <= abs(traces[i]) <= bound),
+        0,
+    )
+    prefix_traces = tuple(traces[:n_class])
+    four_dd = 2 * bound
+    eigenslopes = tuple(
+        # T_i^2 - 4 d^2 is the discriminant of sigma^i K, see the docstring
+        rational_eigenslopes(sigma**i * k) if is_square(t * t - four_dd) else _NONE_FIXED
+        for i, t in enumerate(prefix_traces)
+    )
     return ClassPowerBound(
         class_map=cm,
         n_class=n_class,
@@ -185,7 +204,8 @@ def _class_power_bound(sigma, psi, cm):
         tail_kind=tail_kind,
         tail_traces=tuple(Fraction(t, d_k) for t in traces[tail_index:tail_index + 2]),
         d_k=d_k,
-        prefix=tuple(prefix),
+        prefix_traces=prefix_traces,
+        prefix_eigenslopes=eigenslopes,
     )
 
 
@@ -221,6 +241,21 @@ def _eigenslopes_json(eig):
     return [slope_to_json(s) for s in eig.slopes]
 
 
+def _prefix_json(c):
+    """The prefix entries of one class: each trace T/d takes one gcd."""
+    d, bound = c.d_k, 2 * c.d_k * c.d_k
+    return [
+        {
+            "n": n,
+            "trace": format_ratio(t, d),
+            "denominator": d,
+            "criterion_passed": not 2 <= abs(t) <= bound,
+            "eigenslopes": _eigenslopes_json(eig),
+        }
+        for n, (t, eig) in enumerate(zip(c.prefix_traces, c.prefix_eigenslopes))
+    ]
+
+
 def power_report_to_json(report):
     return {
         "kind": "power-bound-report",
@@ -238,16 +273,7 @@ def power_report_to_json(report):
                     format_fraction(c.tail_traces[1]),
                 ],
                 "d_K": c.d_k,
-                "prefix": [
-                    {
-                        "n": p.n,
-                        "trace": format_fraction(p.trace),
-                        "denominator": p.denominator,
-                        "criterion_passed": p.criterion_passed,
-                        "eigenslopes": _eigenslopes_json(p.eigenslopes),
-                    }
-                    for p in c.prefix
-                ],
+                "prefix": _prefix_json(c),
             }
             for c in report.per_class
         ],

@@ -24,6 +24,7 @@ __all__ = [
     "Eigenslopes",
     "compose",
     "from_scaled",
+    "is_square",
     "lft_apply",
     "rational_eigenslopes",
     "denominator",
@@ -130,6 +131,13 @@ class UnimodularQ:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
+def _integral(m):
+    """m, after checking d(m) = 1."""
+    if m._den != 1:
+        raise InvalidInputError(f"integer matrix expected, got {excerpt(m)}")
+    return m
+
+
 class UnimodularZ(UnimodularQ):
     """A 2x2 integer matrix with determinant exactly 1 (a gluing map)."""
 
@@ -137,19 +145,23 @@ class UnimodularZ(UnimodularQ):
 
     def __init__(self, a, b, c, d):
         super().__init__(a, b, c, d)
-        if self._den != 1:
-            raise InvalidInputError(f"integer matrix expected, got {excerpt(self)}")
+        _integral(self)
 
 
-def from_scaled(a, b, c, d, den):
-    """The matrix [[a, b], [c, d]] / den from integers, den != 0."""
+def from_scaled(a, b, c, d, den, integral=False):
+    """The matrix [[a, b], [c, d]] / den from integers, den != 0.
+
+    A UnimodularZ when integral, which then requires an integer matrix.
+    """
     if den == 0:
         raise InvalidInputError("matrix denominator must be nonzero")
     if den < 0:
         a, b, c, d, den = -a, -b, -c, -d, -den
     g = math.gcd(a, b, c, d, den)
     scaled = (a // g, b // g, c // g, d // g)
-    return _checked(_init(object.__new__(UnimodularQ), scaled, den // g))
+    m = _init(object.__new__(UnimodularZ if integral else UnimodularQ), scaled, den // g)
+    _checked(m)
+    return _integral(m) if integral else m
 
 
 def compose(first, second):
@@ -181,6 +193,37 @@ def denominator(m):
     return m._den
 
 
+def _square_residues(modulus):
+    table = [False] * modulus
+    for k in range(modulus // 2 + 1):
+        table[k * k % modulus] = True
+    return table
+
+
+# Squares mod 64, 63, 65 and 11 (63 * 65 * 11 = 45045): a non-square
+# survives all four tables with probability 12/64 * 16/63 * 21/65 * 6/11,
+# under 1%.
+_SQUARE_MOD_64 = _square_residues(64)
+_SQUARE_MOD_63 = _square_residues(63)
+_SQUARE_MOD_65 = _square_residues(65)
+_SQUARE_MOD_11 = _square_residues(11)
+
+
+def is_square(n):
+    """True iff the integer n is a perfect square.
+
+    The residue tables cost one mask and one remainder of n and reject
+    about 99% of non-squares; isqrt decides every n they let through.
+    """
+    if n < 0 or not _SQUARE_MOD_64[n & 63]:
+        return False
+    r = n % 45045
+    if not (_SQUARE_MOD_63[r % 63] and _SQUARE_MOD_65[r % 65] and _SQUARE_MOD_11[r % 11]):
+        return False
+    root = math.isqrt(n)
+    return root * root == n
+
+
 @dataclass(frozen=True)
 class Eigenslopes:
     """Result of the rational eigenslope computation.
@@ -209,7 +252,7 @@ def rational_eigenslopes(m):
     With (A, B, C, D) the integer form of m, a finite slope r is fixed iff
     C r^2 + (D - A) r - B = 0; infinity is fixed iff C = 0.  The quadratic
     has rational roots iff the integer discriminant (D - A)^2 + 4 B C is a
-    perfect square, decided with isqrt.  For plus or minus the identity
+    perfect square, decided by is_square.  For plus or minus the identity
     every slope is fixed and the distinguished fixes_all value is returned.
     """
     if m.is_plus_minus_identity():
@@ -223,8 +266,8 @@ def rational_eigenslopes(m):
         # d == a with b != 0 is a nontrivial parabolic: infinity only.
     else:
         disc = (d - a) ** 2 + 4 * b * c
-        root = math.isqrt(disc) if disc >= 0 else None
-        if root is not None and root * root == disc:
+        if is_square(disc):
+            root = math.isqrt(disc)
             found.append(Slope(a - d + root, 2 * c))
             if root != 0:
                 found.append(Slope(a - d - root, 2 * c))

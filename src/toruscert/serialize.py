@@ -12,11 +12,12 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError, ascii_integer, excerpt
-from .matrices import UnimodularQ, UnimodularZ, denominator
+from .matrices import denominator, from_scaled
 from .slopes import Slope
 
 __all__ = [
     "format_fraction",
+    "format_ratio",
     "parse_fraction",
     "matrix_to_json",
     "matrix_from_json",
@@ -41,6 +42,12 @@ def _format_ratio(num, den):
         raise digit_limit_error() from exc
 
 
+def format_ratio(num, den):
+    """format_fraction(Fraction(num, den)) for den >= 1, with one gcd."""
+    g = math.gcd(num, den)
+    return _format_ratio(num // g, den // g)
+
+
 def format_fraction(f):
     """"p" or "p/q"; InvalidInputError past sys.get_int_max_str_digits()."""
     if not isinstance(f, Fraction):
@@ -48,41 +55,54 @@ def format_fraction(f):
     return _format_ratio(f.numerator, f.denominator)
 
 
-def parse_fraction(value):
-    """Exact rational from an int or a "p"/"p/q" string of ASCII integers."""
+def _parse_ratio(value):
+    """(p, q), q != 0, from an int or a "p"/"p/q" string of ASCII integers."""
     if isinstance(value, bool):
         raise InvalidInputError(f"not a rational: {excerpt(value)}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
-            num, slash, den = value.partition("/")
-            return Fraction(ascii_integer(num), ascii_integer(den) if slash else 1)
-        except (ValueError, ZeroDivisionError) as exc:
+            p = ascii_integer(num)
+            q = ascii_integer(den) if slash else 1
+        except InvalidInputError as exc:
             raise InvalidInputError(f"malformed rational {excerpt(value)}") from exc
+        if q == 0:
+            raise InvalidInputError(f"malformed rational {excerpt(value)}")
+        return p, q
     raise InvalidInputError(
         f"rationals must be integers or 'p/q' strings, got {excerpt(value)}"
     )
 
 
+def parse_fraction(value):
+    """Exact rational from an int or a "p"/"p/q" string of ASCII integers."""
+    return Fraction(*_parse_ratio(value))
+
+
 def matrix_to_json(m):
     den = denominator(m)
-    gcds = [math.gcd(x, den) for x in m.scaled]
-    a, b, c, d = (_format_ratio(x // g, den // g) for x, g in zip(m.scaled, gcds))
+    a, b, c, d = (format_ratio(x, den) for x in m.scaled)
     return [[a, b], [c, d]]
 
 
 def matrix_from_json(data, integral=False):
-    """2x2 matrix from [[a, b], [c, d]] with int or string-rational entries."""
+    """2x2 matrix from [[a, b], [c, d]] with int or string-rational entries.
+
+    Each entry is read as integers p/q and all four are put over the lcm
+    of the q, which from_scaled reduces to the stored form.
+    """
     if (
         not isinstance(data, list)
         or len(data) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in data)
     ):
         raise InvalidInputError(f"matrix must be a 2x2 array, got {excerpt(data)}")
-    a, b = (parse_fraction(v) for v in data[0])
-    c, d = (parse_fraction(v) for v in data[1])
-    return (UnimodularZ if integral else UnimodularQ)(a, b, c, d)
+    ratios = [_parse_ratio(v) for row in data for v in row]
+    den = math.lcm(*(q for _, q in ratios))
+    a, b, c, d = (p * (den // q) for p, q in ratios)
+    return from_scaled(a, b, c, d, den, integral)
 
 
 def slope_to_json(s):

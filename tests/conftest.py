@@ -12,10 +12,19 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from toruscert._kernels_py import _slope_box, farey_distance
+from toruscert.anosov import PrefixDiagnostic, scaled_trace_criterion
+from toruscert.classmaps import classmap_to_json
 from toruscert.errors import InvalidInputError, NoPathWithinBoundError
 from toruscert.farey import FareyPath, is_edge
-from toruscert.matrices import Eigenslopes, UnimodularQ, UnimodularZ
+from toruscert.matrices import (
+    Eigenslopes,
+    UnimodularQ,
+    UnimodularZ,
+    denominator,
+    rational_eigenslopes,
+)
 from toruscert.normal import decompose
+from toruscert.serialize import format_fraction, matrix_to_json
 from toruscert.slopes import Slope, bezout
 
 
@@ -159,6 +168,60 @@ def fraction_eigenslopes(m):
             for r in {(a - d + root) / (2 * c), (a - d - root) / (2 * c)}:
                 found.append(Slope(r.numerator, r.denominator))
     return Eigenslopes(fixes_all=False, slopes=tuple(sorted(found)))
+
+
+def fraction_power_report_json(report):
+    """power_report_to_json rebuilt one power at a time over Fractions.
+
+    The oracle for the report's bytes: every prefix entry composes
+    sigma^n K, prints Fraction(T, d) through format_fraction, and calls
+    scaled_trace_criterion and rational_eigenslopes on that power.
+    Returns the JSON form and the PrefixDiagnostic tuple of each class.
+    """
+    per_class, diagnostics = [], []
+    for c in report.per_class:
+        k = report.psi * c.class_map.phi
+        prefix = []
+        for n in range(c.n_class):
+            m = report.sigma**n * k
+            d = denominator(m)
+            t = m.scaled[0] + m.scaled[3]
+            prefix.append(
+                PrefixDiagnostic(
+                    n, Fraction(t, d), d, scaled_trace_criterion(t, d),
+                    rational_eigenslopes(m),
+                )
+            )
+        diagnostics.append(tuple(prefix))
+        per_class.append({
+            "class_map": classmap_to_json(c.class_map),
+            "N": c.n_class,
+            "tail_index": c.tail_index,
+            "tail_kind": c.tail_kind,
+            "tail_traces": [format_fraction(t) for t in c.tail_traces],
+            "d_K": c.d_k,
+            "prefix": [
+                {
+                    "n": p.n,
+                    "trace": format_fraction(p.trace),
+                    "denominator": p.denominator,
+                    "criterion_passed": p.criterion_passed,
+                    "eigenslopes": (
+                        "all" if p.eigenslopes.fixes_all
+                        else [str(s) for s in p.eigenslopes.slopes]
+                    ),
+                }
+                for p in prefix
+            ],
+        })
+    data = {
+        "kind": "power-bound-report",
+        "sigma": matrix_to_json(report.sigma),
+        "psi": matrix_to_json(report.psi),
+        "overall_N": report.overall_n,
+        "per_class": per_class,
+    }
+    return data, diagnostics
 
 
 # ---------------------------------------------------------------------------

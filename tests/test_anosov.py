@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from tests.conftest import (
     fraction_denominator,
     fraction_eigenslopes,
     fraction_mul,
+    fraction_power_report_json,
     random_hyperbolic_z,
     random_unimodular_q,
     random_unimodular_z,
@@ -236,6 +238,45 @@ def test_prefix_eigenslopes_from_the_trace(x, expected):
             m = compose(SIGMA, m)
         entry = power_report_to_json(report)["per_class"][0]["prefix"][j]
         assert entry["eigenslopes"] == expected
+
+
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def test_power_report_bytes_match_the_fraction_oracle(rng):
+    # Reports from integer traces against reports rebuilt one power at a
+    # time, byte for byte, with the prefix views against the oracle's.
+    special = [ClassMap.identity(), ClassMap.external(UnimodularQ(0, 1, -1, 0))]
+    special += [
+        ClassMap.external(compose(SIGMA**-j, x))
+        for x, _ in PREFIX_POWERS.values()
+        for j in (3, 5)
+    ]
+    cases = [(SIGMA, IDENT, special)]
+    for _ in range(20):
+        classes = [
+            ClassMap.external(random_unimodular_q(rng, num_bound=40, den_bound=60))
+            for _ in range(3)
+        ]
+        cases.append((random_hyperbolic_z(rng), random_unimodular_z(rng, length=3), classes))
+    seen = set()
+    for sigma, psi, classes in cases:
+        report = power_bound(sigma, psi, classes)
+        expected, diagnostics = fraction_power_report_json(report)
+        assert _compact(power_report_to_json(report)) == _compact(expected)
+        assert [c.prefix for c in report.per_class] == diagnostics
+        for c in report.per_class:
+            seen.add("d(K) = 1" if c.d_k == 1 else "d(K) > 1")
+            seen.add(f"{c.tail_kind} tail")
+            for p in c.prefix:
+                if p.trace.denominator < p.denominator:
+                    seen.add("gcd(T, d) > 1")
+                if p.eigenslopes.fixes_all:
+                    seen.add("all")
+    assert seen == {
+        "d(K) = 1", "d(K) > 1", "growth tail", "zero tail", "gcd(T, d) > 1", "all"
+    }
 
 
 def test_power_bound_preconditions():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -20,6 +20,7 @@ from toruscert.matrices import (
     UnimodularZ,
     compose,
     denominator,
+    is_square,
     lft_apply,
     rational_eigenslopes,
 )
@@ -139,6 +140,19 @@ def test_eigenslopes_irrational_discriminant():
     assert eig.is_empty()
 
 
+def test_is_square_matches_isqrt(rng):
+    for n in range(1 << 16):
+        assert is_square(n) == (isqrt(n) ** 2 == n), n
+    for n in (-1, -4, -(10**40)):
+        assert not is_square(n)
+    for _ in range(300):
+        digits = rng.randint(30, 300)
+        k = rng.randrange(10 ** (digits - 1), 10**digits)
+        assert is_square(k * k)
+        for n in (k * k - 1, k * k + 1, k * k + 2 * k):
+            assert not is_square(n), n
+
+
 def test_eigenslopes_vs_brute_force(rng):
     # s is an eigenslope iff the action fixes s, over |p|, |q| <= 100
     for _ in range(60):
@@ -166,7 +180,7 @@ def test_intersection_preserved_by_integral_action(rng):
 
 def test_denominator_lemma(rng):
     # L (r u) = s v integral, u and v primitive: d(L) >= |s/r| >= 1/d(L)
-    from math import gcd
+    from math import gcd, isqrt
 
     for _ in range(300):
         m = random_unimodular_q(rng)
