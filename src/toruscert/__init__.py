@@ -9,56 +9,11 @@ Every result is stated relative to the fixed conventions below (the
 underlying theory leaves them to a choice of bases and labels); their
 hash is embedded in --version output so certificates from different builds
 are comparable.
+
+The public names below are imported from their modules on first access
+(PEP 562), so a command loads only the modules it uses, and the
+conventions hash is computed only when it is read.
 """
-
-import hashlib
-
-from .classmaps import (
-    ClassMap,
-    build_from_single_slope,
-    build_from_two_surfaces,
-    class_count_bound,
-    verify_third_surface,
-)
-from .certify import (
-    CollectionReport,
-    DistanceCertificate,
-    MapDistanceResult,
-    c_distance,
-    collection_distance,
-    map_distance,
-    trace_criterion,
-)
-from .anosov import PowerBoundReport, is_hyperbolic, power_bound, trace_sequence
-from .errors import (
-    BoundaryCountError,
-    DegenerateClassError,
-    InvalidInputError,
-    NoEssentialComponentError,
-    NoPathWithinBoundError,
-)
-from .farey import FareyPath, distance, geodesic, is_edge
-from .matrices import (
-    Eigenslopes,
-    PrimitiveClass,
-    UnimodularQ,
-    UnimodularZ,
-    compose,
-    denominator,
-    lft_apply,
-    rational_eigenslopes,
-)
-from .normal import (
-    CurveDecomposition,
-    NormalCoordinates,
-    SignedIntersections,
-    curve_types,
-    decompose,
-    from_slope,
-    normal_sign_intersections,
-    slope_of,
-)
-from .slopes import INFINITY, Slope, intersection_number, slope_normalize
 
 __version__ = "0.1.0"
 
@@ -79,55 +34,83 @@ algebraic normal count of (x,y) equals det(class(y), class(x)) * multiplicities
 single-slope class maps: extended-Euclid basis completion, 0 <= u < |p|
 """
 
-CONVENTIONS_HASH = hashlib.sha256(CONVENTIONS.encode()).hexdigest()[:12]
+# Where each public name is defined.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "slopes": ("Slope", "INFINITY", "slope_normalize", "intersection_number"),
+        "matrices": (
+            "UnimodularQ",
+            "UnimodularZ",
+            "PrimitiveClass",
+            "Eigenslopes",
+            "compose",
+            "denominator",
+            "lft_apply",
+            "rational_eigenslopes",
+        ),
+        "farey": ("FareyPath", "is_edge", "distance", "geodesic"),
+        "normal": (
+            "NormalCoordinates",
+            "CurveDecomposition",
+            "SignedIntersections",
+            "curve_types",
+            "decompose",
+            "slope_of",
+            "from_slope",
+            "normal_sign_intersections",
+        ),
+        "classmaps": (
+            "ClassMap",
+            "build_from_two_surfaces",
+            "build_from_single_slope",
+            "verify_third_surface",
+            "class_count_bound",
+        ),
+        "certify": (
+            "MapDistanceResult",
+            "DistanceCertificate",
+            "CollectionReport",
+            "trace_criterion",
+            "map_distance",
+            "c_distance",
+            "collection_distance",
+        ),
+        "anosov": (
+            "PowerBoundReport",
+            "is_hyperbolic",
+            "trace_sequence",
+            "power_bound",
+        ),
+        "errors": (
+            "InvalidInputError",
+            "NoEssentialComponentError",
+            "BoundaryCountError",
+            "DegenerateClassError",
+            "NoPathWithinBoundError",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "__version__",
-    "CONVENTIONS",
-    "CONVENTIONS_HASH",
-    "Slope",
-    "INFINITY",
-    "slope_normalize",
-    "intersection_number",
-    "UnimodularQ",
-    "UnimodularZ",
-    "PrimitiveClass",
-    "Eigenslopes",
-    "compose",
-    "denominator",
-    "lft_apply",
-    "rational_eigenslopes",
-    "FareyPath",
-    "is_edge",
-    "distance",
-    "geodesic",
-    "NormalCoordinates",
-    "CurveDecomposition",
-    "SignedIntersections",
-    "curve_types",
-    "decompose",
-    "slope_of",
-    "from_slope",
-    "normal_sign_intersections",
-    "ClassMap",
-    "build_from_two_surfaces",
-    "build_from_single_slope",
-    "verify_third_surface",
-    "class_count_bound",
-    "MapDistanceResult",
-    "DistanceCertificate",
-    "CollectionReport",
-    "trace_criterion",
-    "map_distance",
-    "c_distance",
-    "collection_distance",
-    "PowerBoundReport",
-    "is_hyperbolic",
-    "trace_sequence",
-    "power_bound",
-    "InvalidInputError",
-    "NoEssentialComponentError",
-    "BoundaryCountError",
-    "DegenerateClassError",
-    "NoPathWithinBoundError",
-]
+__all__ = ["__version__", "CONVENTIONS", "CONVENTIONS_HASH", *_EXPORTS]
+
+
+def __getattr__(name):
+    """Import the module defining a public name, or hash CONVENTIONS, on first use."""
+    if name == "CONVENTIONS_HASH":
+        import hashlib
+
+        value = hashlib.sha256(CONVENTIONS.encode()).hexdigest()[:12]
+    elif name in _EXPORTS:
+        from importlib import import_module
+
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

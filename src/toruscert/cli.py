@@ -5,6 +5,11 @@ stable exit codes: 0 for success (including certified bounds), 2 when a
 distance-zero witness was found, 1 for invalid input of any kind.  Output
 is compact, key-sorted JSON by default so identical inputs produce
 byte-identical bytes; --pretty switches to an indented form.
+
+Each handler imports the modules it uses, so a cold process loads only
+what its command runs: the farey commands never load the certificate,
+class-map or matrix modules, and only --version computes the conventions
+hash.
 """
 
 from __future__ import annotations
@@ -14,39 +19,14 @@ import json
 import os
 import sys
 
-from . import __version__, CONVENTIONS_HASH
-from .anosov import power_bound, power_report_to_json, trace_sequence
-from .certify import (
-    DEFAULT_SEARCH_BOUND,
-    c_distance,
-    certificate_to_json,
-    collection_distance,
-    collection_report_to_json,
-    verify_report,
-)
-from .classmaps import (
-    build_from_single_slope,
-    build_from_two_surfaces,
-    classmap_from_json,
-    classmap_to_json,
-)
-from .errors import InvalidInputError, ascii_integer, excerpt, shorten
-from .farey import distance, geodesic
-from .matrices import lft_apply, rational_eigenslopes
-from .normal import (
-    NormalCoordinates,
-    decompose,
-    from_slope,
-    normal_sign_intersections,
-    slope_of,
-)
-from .serialize import (
+from . import __version__
+from .errors import (
+    InvalidInputError,
+    ascii_integer,
     digit_limit_error,
-    format_fraction,
-    matrix_from_json,
-    slope_to_json,
+    excerpt,
+    shorten,
 )
-from .slopes import Slope
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -60,6 +40,8 @@ STATUS_EXIT = {
 
 
 def _parse_matrix(text, integral=False):
+    from .serialize import matrix_from_json
+
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -105,6 +87,8 @@ def _load_json_file(path):
 
 
 def _load_classes(path):
+    from .classmaps import classmap_from_json
+
     data = _load_json_file(path)
     if isinstance(data, dict):
         data = [data]
@@ -122,6 +106,8 @@ def _records(value, what):
 
 
 def _default_bound():
+    from .certify import DEFAULT_SEARCH_BOUND
+
     raw = os.environ.get("TORUSCERT_SEARCH_BOUND")
     if raw is None:
         return DEFAULT_SEARCH_BOUND
@@ -136,28 +122,38 @@ def _default_bound():
 # --- handlers: each returns (payload, status) ------------------------------
 
 def _cmd_farey_dist(args):
+    from .farey import distance
+    from .slopes import Slope
+
     s = Slope.parse(args.s)
     t = Slope.parse(args.t)
     return {"distance": distance(s, t)}, "ok"
 
 
 def _cmd_farey_path(args):
+    from .farey import geodesic
+    from .slopes import Slope
+
     s = Slope.parse(args.s)
     t = Slope.parse(args.t)
     path = geodesic(s, t)
-    return {
-        "distance": path.length,
-        "path": [slope_to_json(v) for v in path.vertices],
-    }, "ok"
+    return {"distance": path.length, "path": [str(v) for v in path.vertices]}, "ok"
 
 
 def _cmd_slope_map(args):
+    from .matrices import lft_apply
+    from .serialize import slope_to_json
+    from .slopes import Slope
+
     m = _parse_matrix(args.matrix)
     s = Slope.parse(args.slope)
     return {"image": slope_to_json(lft_apply(m, s))}, "ok"
 
 
 def _cmd_matrix_eigenslopes(args):
+    from .matrices import rational_eigenslopes
+    from .serialize import slope_to_json
+
     m = _parse_matrix(args.matrix)
     eig = rational_eigenslopes(m)
     if eig.fixes_all:
@@ -168,23 +164,30 @@ def _cmd_matrix_eigenslopes(args):
 
 
 def _cmd_normal_slope(args):
+    from .normal import NormalCoordinates, decompose, slope_of
+
     x = NormalCoordinates(*_parse_ints(args.coords, "x1,x2,x3"))
     dec = decompose(x)
     s = slope_of(x)
     return {
-        "slope": slope_to_json(s),
+        "slope": str(s),
         "multiplicity": dec.essential_multiplicity,
         "trivial": dec.trivial_count,
     }, "ok"
 
 
 def _cmd_normal_coords(args):
+    from .normal import from_slope
+    from .slopes import Slope
+
     s = Slope.parse(args.slope)
     x = from_slope(s, args.mult, args.trivial)
     return {"coordinates": list(x.triple())}, "ok"
 
 
 def _cmd_normal_intersect(args):
+    from .normal import NormalCoordinates, normal_sign_intersections
+
     x = NormalCoordinates(*_parse_ints(args.x, "x1,x2,x3"))
     y = NormalCoordinates(*_parse_ints(args.y, "x1,x2,x3"))
     si = normal_sign_intersections(x, y)
@@ -197,6 +200,8 @@ def _cmd_normal_intersect(args):
 
 
 def _cmd_classmap_from_surfaces(args):
+    from .classmaps import build_from_two_surfaces, classmap_to_json
+
     cm = build_from_two_surfaces(
         *(_parse_ints(v, "p,q") for v in (args.r1, args.s1, args.r2, args.s2)),
         complexity_bound=args.complexity,
@@ -205,6 +210,9 @@ def _cmd_classmap_from_surfaces(args):
 
 
 def _cmd_classmap_from_slopes(args):
+    from .classmaps import build_from_single_slope, classmap_to_json
+    from .slopes import Slope
+
     cm = build_from_single_slope(
         Slope.parse(args.tau1),
         Slope.parse(args.tau2),
@@ -214,6 +222,8 @@ def _cmd_classmap_from_slopes(args):
 
 
 def _cmd_certify_gluing(args):
+    from .certify import c_distance, certificate_to_json
+
     phi = _parse_matrix(args.phi, integral=True)
     classes = _load_classes(args.classes)
     bound = args.bound if args.bound is not None else _default_bound()
@@ -224,6 +234,10 @@ def _cmd_certify_gluing(args):
 
 
 def _cmd_certify_collection(args):
+    from .certify import collection_distance, collection_report_to_json
+    from .classmaps import classmap_from_json
+    from .serialize import matrix_from_json
+
     spec = _load_json_file(args.spec)
     if not isinstance(spec, dict) or "orderings" not in spec:
         raise InvalidInputError("collection spec must have an 'orderings' list")
@@ -250,12 +264,16 @@ def _cmd_certify_collection(args):
 
 
 def _cmd_certify_verify(args):
+    from .certify import verify_report
+
     if not verify_report(_load_json_file(args.report)):
         raise InvalidInputError("report does not match its recomputation")
     return {"verified": True}, "ok"
 
 
 def _cmd_anosov_power(args):
+    from .anosov import power_bound, power_report_to_json
+
     sigma = _parse_matrix(args.sigma, integral=True)
     psi = _parse_matrix(args.psi, integral=True)
     classes = _load_classes(args.classes)
@@ -264,6 +282,9 @@ def _cmd_anosov_power(args):
 
 
 def _cmd_anosov_trace(args):
+    from .anosov import trace_sequence
+    from .serialize import format_fraction
+
     sigma = _parse_matrix(args.sigma, integral=True)
     k = _parse_matrix(args.k)
     traces = trace_sequence(sigma, k, args.n)
@@ -279,6 +300,16 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(f"{self.prog}: {shorten(message, 100)}")
 
 
+class _Version(argparse.Action):
+    """--version: the version line, with the conventions hash computed only here."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import CONVENTIONS_HASH
+
+        print(f"toruscert {__version__} (conventions {CONVENTIONS_HASH})")
+        parser.exit()
+
+
 def build_parser():
     parser = _Parser(
         prog="toruscert",
@@ -287,8 +318,10 @@ def build_parser():
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"toruscert {__version__} (conventions {CONVENTIONS_HASH})",
+        action=_Version,
+        nargs=0,
+        default=argparse.SUPPRESS,
+        help="show program's version number and exit",
     )
     parser.add_argument(
         "--pretty", action="store_true", help="indented JSON output"

@@ -64,6 +64,14 @@ def excerpt(value):
         )
 
 
+def digit_limit_error():
+    """The error for a number too long to print as decimal text."""
+    return InvalidInputError(
+        f"a number has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing"
+    )
+
+
 def integer(value, what, least=None, most=None):
     """value if it is an int, not a bool, from least to most; else InvalidInputError.
 

@@ -13,7 +13,6 @@ a search over the whole ancestor graph of the target.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 
 from . import _speedups
 from .slopes import Slope, bezout, intersection_number
@@ -31,14 +30,37 @@ def distance(s, t):
     return _speedups.farey_distance(s.p, s.q, t.p, t.q)
 
 
-@dataclass(frozen=True)
 class FareyPath:
-    """A path in the Farey graph: consecutive vertices adjacent, none repeated."""
+    """A path in the Farey graph: consecutive vertices adjacent, none repeated.
 
-    vertices: tuple
+    An immutable value with the equality, hash and repr of a frozen
+    dataclass; a plain class keeps `dataclasses` out of the farey commands.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices):
+        object.__setattr__(self, "vertices", tuple(vertices))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FareyPath, (self.vertices,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"FareyPath(vertices={self.vertices!r})"
 
     @property
     def length(self):

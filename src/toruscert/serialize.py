@@ -8,10 +8,9 @@ approximation.  Slopes serialize as "p/q" with "1/0" for infinity.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
-from .errors import InvalidInputError, ascii_integer, excerpt
+from .errors import InvalidInputError, ascii_integer, digit_limit_error, excerpt
 from .matrices import denominator, from_scaled
 from .slopes import Slope
 
@@ -24,14 +23,6 @@ __all__ = [
     "slope_to_json",
     "slope_from_json",
 ]
-
-
-def digit_limit_error():
-    """The error for a number too long to print as decimal text."""
-    return InvalidInputError(
-        f"a number has more than {sys.get_int_max_str_digits()} digits, "
-        "the limit for printing"
-    )
 
 
 def _format_ratio(num, den):

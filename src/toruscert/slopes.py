@@ -10,7 +10,6 @@ gcd(|p|, |q|) = 1 and q > 0, except for infinity which is stored as
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InvalidInputError, ascii_integer, excerpt, integer
 
@@ -19,8 +18,11 @@ __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINIT
 
 def _as_int(x, what="a slope entry"):
     """x as an int; an integral Fraction is converted, all else must pass integer()."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
+    if not isinstance(x, int):
+        from fractions import Fraction  # not loaded by commands that never meet one
+
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return int(x)
     return integer(x, what)
 
 
@@ -63,6 +65,8 @@ class Slope:
         """The slope as an exact Fraction.  Raises for infinity."""
         if self.q == 0:
             raise InvalidInputError("infinity has no finite fraction value")
+        from fractions import Fraction
+
         return Fraction(self.p, self.q)
 
     def vector(self):

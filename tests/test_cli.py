@@ -193,7 +193,65 @@ def test_version_embeds_conventions_hash():
     from toruscert import CONVENTIONS_HASH
 
     r = run_cli("--version")
-    assert CONVENTIONS_HASH in r.stdout
+    assert r.stdout == f"toruscert 0.1.0 (conventions {CONVENTIONS_HASH})\n"
+    assert r.stdout == "toruscert 0.1.0 (conventions e6725159ed7b)\n"
+    assert r.returncode == 0 and r.stderr == ""
+
+
+# Prints the modules loaded before (the interpreter and json) and after
+# cli.main(argv), so each command's imports are checked in a fresh process.
+FOOTPRINT = """\
+import json, sys
+before = sorted(sys.modules)
+from toruscert import cli
+try:
+    cli.main(json.loads(sys.argv[1]))
+except SystemExit:
+    pass
+print(json.dumps([before, sorted(sys.modules)]))
+"""
+HEAVY = {
+    "toruscert.certify", "toruscert.anosov", "toruscert.classmaps",
+    "toruscert.matrices", "toruscert.normal", "toruscert.serialize",
+}
+
+
+def loaded_modules(*argv):
+    """The modules a cold cli.main(argv) loads beyond the interpreter's own."""
+    r = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
+        capture_output=True, text=True, check=True,
+    )
+    before, after = json.loads(r.stdout.splitlines()[-1])
+    return set(after) - set(before)
+
+
+@pytest.mark.parametrize("command", ["dist", "path"])
+def test_farey_commands_load_only_the_farey_modules(command):
+    loaded = loaded_modules("farey", command, "--", "5/7", "-13/4")
+    assert "toruscert.farey" in loaded
+    assert not loaded & (HEAVY | {"dataclasses", "fractions", "hashlib"})
+
+
+def test_normal_intersect_loads_no_matrix_or_certificate_module():
+    loaded = loaded_modules("normal", "intersect", "1,0,1", "0,1,1")
+    assert "toruscert.normal" in loaded
+    assert not loaded & (HEAVY - {"toruscert.normal"} | {"hashlib"})
+
+
+def test_anosov_power_loads_no_certify_module(identity_classes):
+    loaded = loaded_modules(
+        "anosov", "power", "--sigma", "[[2,1],[1,1]]", "--psi", "[[1,0],[0,1]]",
+        "--classes", identity_classes,
+    )
+    assert "toruscert.anosov" in loaded
+    assert not loaded & {"toruscert.certify", "hashlib"}
+
+
+def test_version_alone_loads_hashlib():
+    loaded = loaded_modules("--version")
+    assert "hashlib" in loaded
+    assert not loaded & HEAVY
 
 
 def test_pretty_mode():

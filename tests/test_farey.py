@@ -1,3 +1,4 @@
+import copy
 from math import gcd
 
 import pytest
@@ -180,3 +181,22 @@ def test_farey_path_invariants():
     assert good.is_valid() and good.length == 2
     assert not FareyPath((Slope(0, 1), Slope(2, 1))).is_valid()  # not an edge
     assert not FareyPath((Slope(0, 1), Slope(1, 0), Slope(0, 1))).is_valid()  # repeat
+
+
+def test_farey_path_behaves_as_a_frozen_value():
+    path = FareyPath([Slope(0, 1), Slope(1, 1)])  # a list is stored as a tuple
+    same = FareyPath((Slope(0, 1), Slope(1, 1)))
+    assert path.vertices == (Slope(0, 1), Slope(1, 1))
+    assert path == same and hash(path) == hash(same)
+    assert path != FareyPath((Slope(0, 1),))
+    assert path != (Slope(0, 1), Slope(1, 1))
+    assert len({path, same}) == 1
+    assert repr(path) == "FareyPath(vertices=(Slope(0, 1), Slope(1, 1)))"
+    assert copy.copy(path) == path
+    with pytest.raises(AttributeError):
+        path.vertices = ()
+    with pytest.raises(AttributeError):
+        path.other = 1
+    with pytest.raises(AttributeError):
+        del path.vertices
+    assert path.vertices == (Slope(0, 1), Slope(1, 1))
