@@ -39,9 +39,9 @@ class, so its bytes are those of the Fraction form.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .classmaps import classmap_to_json
 from .errors import InvalidInputError, integer
 from .matrices import (
@@ -117,33 +117,47 @@ def trace_sequence(sigma, k, n_max):
     return out
 
 
-@dataclass(frozen=True)
-class PrefixDiagnostic:
-    """One power below the certified index: what held and what did not."""
+class PrefixDiagnostic(Value):
+    """One power below the certified index: what held and what did not.
 
-    n: int
-    trace: object
-    denominator: int
-    criterion_passed: bool
-    eigenslopes: object  # Eigenslopes of sigma^n * K
-
-
-@dataclass(frozen=True)
-class ClassPowerBound:
-    """The certified index of one class and the powers below it.
-
-    prefix_traces holds T_n = d_k trace(sigma^n K) and prefix_eigenslopes
-    the eigenslopes of sigma^n K for n = 0 ... n_class - 1.
+    eigenslopes are those of sigma^n * K.
     """
 
-    class_map: object
-    n_class: int
-    tail_index: int
-    tail_kind: str  # "growth" or "zero"
-    tail_traces: tuple
-    d_k: int
-    prefix_traces: tuple
-    prefix_eigenslopes: tuple
+    __slots__ = ("n", "trace", "denominator", "criterion_passed", "eigenslopes")
+
+    def __init__(self, n, trace, denominator, criterion_passed, eigenslopes):
+        set_field(self, "n", n)
+        set_field(self, "trace", trace)
+        set_field(self, "denominator", denominator)
+        set_field(self, "criterion_passed", criterion_passed)
+        set_field(self, "eigenslopes", eigenslopes)
+
+
+class ClassPowerBound(Value):
+    """The certified index of one class and the powers below it.
+
+    tail_kind is "growth" or "zero".  prefix_traces holds
+    T_n = d_k trace(sigma^n K) and prefix_eigenslopes the eigenslopes of
+    sigma^n K for n = 0 ... n_class - 1.
+    """
+
+    __slots__ = (
+        "class_map", "n_class", "tail_index", "tail_kind", "tail_traces", "d_k",
+        "prefix_traces", "prefix_eigenslopes",
+    )
+
+    def __init__(
+        self, class_map, n_class, tail_index, tail_kind, tail_traces, d_k,
+        prefix_traces, prefix_eigenslopes,
+    ):
+        set_field(self, "class_map", class_map)
+        set_field(self, "n_class", n_class)
+        set_field(self, "tail_index", tail_index)
+        set_field(self, "tail_kind", tail_kind)
+        set_field(self, "tail_traces", tail_traces)
+        set_field(self, "d_k", d_k)
+        set_field(self, "prefix_traces", prefix_traces)
+        set_field(self, "prefix_eigenslopes", prefix_eigenslopes)
 
     @property
     def prefix(self):
@@ -155,12 +169,16 @@ class ClassPowerBound:
         )
 
 
-@dataclass(frozen=True)
-class PowerBoundReport:
-    sigma: UnimodularZ
-    psi: UnimodularZ
-    per_class: tuple
-    overall_n: int
+class PowerBoundReport(Value):
+    """The power bound of each class (per_class) and their maximum, overall_n."""
+
+    __slots__ = ("sigma", "psi", "per_class", "overall_n")
+
+    def __init__(self, sigma, psi, per_class, overall_n):
+        set_field(self, "sigma", sigma)
+        set_field(self, "psi", psi)
+        set_field(self, "per_class", per_class)
+        set_field(self, "overall_n", overall_n)
 
 
 def _class_power_bound(sigma, psi, cm):

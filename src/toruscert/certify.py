@@ -5,10 +5,11 @@ distance is zero, witnessed by a rational eigenslope) or fixes none (then
 its c-distance is at least one, which is exact: the fixed slopes of a
 determinant-one rational matrix acting on slopes are precisely its
 rational eigenslopes).  The zero/at-least-one dichotomy is decided
-exactly; no known finite procedure certifies distance two or more, so
-beyond the exact bound each certificate records the empirical minimum Farey
-displacement over a bounded slope search, an upper bound for the true
-minimum displacement, clearly labeled with the bound used.
+exactly.  This module does not yet certify distance two or more (a finite
+procedure exists at least up to three), so beyond the exact bound each
+certificate records the empirical minimum Farey displacement over a
+bounded slope search, an upper bound for the true minimum displacement,
+clearly labeled with the bound used.
 """
 
 from __future__ import annotations

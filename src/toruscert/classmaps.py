@@ -11,8 +11,7 @@ as raw matrices with provenance "external".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, set_field
 from .errors import (
     BoundaryCountError,
     DegenerateClassError,
@@ -39,32 +38,35 @@ __all__ = [
 PROVENANCES = ("single-slope", "two-surface", "external")
 
 
-@dataclass(frozen=True)
-class ClassMap:
+class ClassMap(Value):
     """A slope map with provenance metadata.
 
     type_pair records the shared boundary-curve type on each torus when it
     is determined by the construction data (None when unknown, e.g. for
     some external matrices).  basis retains the defining boundary vectors
-    of a two-surface construction so third surfaces can be checked later.
+    (r1, s1, r2, s2) of a two-surface construction so third surfaces can be
+    checked later.
     """
 
-    phi: UnimodularQ
-    type_pair: tuple | None
-    complexity_bound: int
-    provenance: str
-    basis: tuple | None = None  # (r1, s1, r2, s2) integer vectors
+    __slots__ = ("phi", "type_pair", "complexity_bound", "provenance", "basis")
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise InvalidInputError(f"unknown provenance {excerpt(self.provenance)}")
-        integer(self.complexity_bound, "complexity bound", least=0)
-        if self.type_pair is not None:
-            if len(self.type_pair) != 2:
-                raise InvalidInputError(f"bad type pair {excerpt(self.type_pair)}")
-            for t in self.type_pair:
+    def __init__(self, phi, type_pair, complexity_bound, provenance, basis=None):
+        if not isinstance(phi, UnimodularQ):
+            raise InvalidInputError(f"class map phi must be a matrix, got {excerpt(phi)}")
+        if provenance not in PROVENANCES:
+            raise InvalidInputError(f"unknown provenance {excerpt(provenance)}")
+        integer(complexity_bound, "complexity bound", least=0)
+        if type_pair is not None:
+            if not isinstance(type_pair, tuple) or len(type_pair) != 2:
+                raise InvalidInputError(f"bad type pair {excerpt(type_pair)}")
+            for t in type_pair:
                 integer(t, "a curve type", 1, 3)
-        if self.basis is not None:
+        set_field(self, "phi", phi)
+        set_field(self, "type_pair", type_pair)
+        set_field(self, "complexity_bound", complexity_bound)
+        set_field(self, "provenance", provenance)
+        set_field(self, "basis", basis)
+        if basis is not None:
             self._check_basis()
 
     def _check_basis(self):
@@ -202,8 +204,7 @@ def build_from_single_slope(tau1, tau2, complexity_bound=0):
     return ClassMap(phi, (type1, type2), complexity_bound, "single-slope")
 
 
-@dataclass(frozen=True)
-class ThirdSurfaceCheck:
+class ThirdSurfaceCheck(Value):
     """Outcome of checking a third surface's boundary data against a map.
 
     Truthy exactly when the map carries q2 to q1.  The two determinant
@@ -212,9 +213,12 @@ class ThirdSurfaceCheck:
     the mapping statement because r1, s1 are independent.
     """
 
-    mapped: bool
-    det_identity_r: bool
-    det_identity_s: bool
+    __slots__ = ("mapped", "det_identity_r", "det_identity_s")
+
+    def __init__(self, mapped, det_identity_r, det_identity_s):
+        set_field(self, "mapped", mapped)
+        set_field(self, "det_identity_r", det_identity_r)
+        set_field(self, "det_identity_s", det_identity_s)
 
     def __bool__(self):
         return self.mapped

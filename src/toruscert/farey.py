@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from . import _speedups
+from ._value import Value, set_field
 from .slopes import Slope, bezout, intersection_number
 
 __all__ = ["FareyPath", "is_edge", "distance", "geodesic"]
@@ -30,37 +31,13 @@ def distance(s, t):
     return _speedups.farey_distance(s.p, s.q, t.p, t.q)
 
 
-class FareyPath:
-    """A path in the Farey graph: consecutive vertices adjacent, none repeated.
-
-    An immutable value with the equality, hash and repr of a frozen
-    dataclass; a plain class keeps `dataclasses` out of the farey commands.
-    """
+class FareyPath(Value):
+    """A path in the Farey graph: consecutive vertices adjacent, none repeated."""
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        object.__setattr__(self, "vertices", tuple(vertices))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return FareyPath, (self.vertices,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    def __repr__(self):
-        return f"FareyPath(vertices={self.vertices!r})"
+        set_field(self, "vertices", tuple(vertices))
 
     @property
     def length(self):

@@ -11,9 +11,9 @@ inequalities) are exact dichotomies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import InvalidInputError, excerpt, integer
 from .slopes import Slope
 
@@ -40,8 +40,8 @@ def _frac(x):
 
 
 def _init(m, scaled, den):
-    object.__setattr__(m, "scaled", scaled)
-    object.__setattr__(m, "_den", den)
+    set_field(m, "scaled", scaled)
+    set_field(m, "_den", den)
     return m
 
 
@@ -60,7 +60,7 @@ def _entry(i):
     return property(lambda m: Fraction(m.scaled[i], m._den))
 
 
-class UnimodularQ:
+class UnimodularQ(Value):
     """A 2x2 matrix over Q with determinant exactly 1.
 
     scaled is the integer matrix (A, B, C, D) = d(m)*m, row by row, with
@@ -75,9 +75,6 @@ class UnimodularQ:
         den = math.lcm(*(x.denominator for x in entries))
         scaled = tuple(x.numerator * (den // x.denominator) for x in entries)
         _checked(_init(self, scaled, den))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("matrix values are immutable")
 
     a, b, c, d = _entry(0), _entry(1), _entry(2), _entry(3)
 
@@ -117,12 +114,15 @@ class UnimodularQ:
         return self._den == 1 and b == 0 and c == 0 and a == d and abs(a) == 1
 
     def __eq__(self, other):
+        # isinstance, not the class: a Q and a Z matrix with equal entries are equal
         if not isinstance(other, UnimodularQ):
             return NotImplemented
         return self.scaled == other.scaled and self._den == other._den
 
-    def __hash__(self):
-        return hash((self.scaled, self._den))
+    __hash__ = Value.__hash__
+
+    def __reduce__(self):
+        return type(self), self.entries()
 
     def __repr__(self):
         return f"{type(self).__name__}({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -224,8 +224,7 @@ def is_square(n):
     return root * root == n
 
 
-@dataclass(frozen=True)
-class Eigenslopes:
+class Eigenslopes(Value):
     """Result of the rational eigenslope computation.
 
     fixes_all is True exactly for plus or minus the identity, whose action
@@ -233,8 +232,11 @@ class Eigenslopes:
     1 or 2 rational eigenslopes in increasing slope order.
     """
 
-    fixes_all: bool
-    slopes: tuple
+    __slots__ = ("fixes_all", "slopes")
+
+    def __init__(self, fixes_all, slopes):
+        set_field(self, "fixes_all", fixes_all)
+        set_field(self, "slopes", slopes)
 
     def is_empty(self):
         return not self.fixes_all and not self.slopes
@@ -274,7 +276,7 @@ def rational_eigenslopes(m):
     return Eigenslopes(fixes_all=False, slopes=tuple(sorted(found)))
 
 
-class PrimitiveClass:
+class PrimitiveClass(Value):
     """A primitive integer vector with a positive multiplicity.
 
     Models the homology class of a disjoint union of m parallel copies of
@@ -291,12 +293,9 @@ class PrimitiveClass:
         if math.gcd(abs(p), abs(q)) != 1:
             raise InvalidInputError(f"{excerpt((p, q))} is not primitive")
         multiplicity = integer(multiplicity, "multiplicity", least=1)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimitiveClass is immutable")
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "multiplicity", multiplicity)
 
     @classmethod
     def from_vector(cls, x, y):
@@ -311,18 +310,6 @@ class PrimitiveClass:
 
     def slope(self):
         return Slope(self.p, self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimitiveClass):
-            return NotImplemented
-        return (self.p, self.q, self.multiplicity) == (
-            other.p,
-            other.q,
-            other.multiplicity,
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.multiplicity))
 
     def __repr__(self):
         return f"PrimitiveClass({self.p}, {self.q}, multiplicity={self.multiplicity})"

@@ -26,9 +26,9 @@ gluings combinatorially and reads homology off signed edge crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import Value, set_field
 from .errors import InvalidInputError, NoEssentialComponentError, excerpt, integer
 from .slopes import Slope
 
@@ -45,17 +45,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalCoordinates:
+class NormalCoordinates(Value):
     """Arc counts (x1, x2, x3) in one triangle; any naturals are admissible."""
 
-    x1: int
-    x2: int
-    x3: int
+    __slots__ = ("x1", "x2", "x3")
 
-    def __post_init__(self):
-        for x in self.triple():
-            integer(x, "a normal coordinate", least=0)
+    def __init__(self, x1, x2, x3):
+        set_field(self, "x1", integer(x1, "a normal coordinate", least=0))
+        set_field(self, "x2", integer(x2, "a normal coordinate", least=0))
+        set_field(self, "x3", integer(x3, "a normal coordinate", least=0))
 
     def triple(self):
         return (self.x1, self.x2, self.x3)
@@ -69,27 +67,29 @@ class NormalCoordinates:
         return f"({self.x1}, {self.x2}, {self.x3})"
 
 
-@dataclass(frozen=True)
-class CurveDecomposition:
+class CurveDecomposition(Value):
     """Essential slope with multiplicity, plus vertex-linking components."""
 
-    essential_slope: Slope | None
-    essential_multiplicity: int
-    trivial_count: int
+    __slots__ = ("essential_slope", "essential_multiplicity", "trivial_count")
 
-    def __post_init__(self):
-        if (self.essential_slope is None) != (self.essential_multiplicity == 0):
+    def __init__(self, essential_slope, essential_multiplicity, trivial_count):
+        if (essential_slope is None) != (essential_multiplicity == 0):
             raise InvalidInputError(
                 "essential slope present iff multiplicity is positive"
             )
+        set_field(self, "essential_slope", essential_slope)
+        set_field(self, "essential_multiplicity", essential_multiplicity)
+        set_field(self, "trivial_count", trivial_count)
 
 
-@dataclass(frozen=True)
-class SignedIntersections:
+class SignedIntersections(Value):
     """Counts of positive and negative normal signs in minimal position."""
 
-    positives: int
-    negatives: int
+    __slots__ = ("positives", "negatives")
+
+    def __init__(self, positives, negatives):
+        set_field(self, "positives", positives)
+        set_field(self, "negatives", negatives)
 
     @property
     def algebraic(self):

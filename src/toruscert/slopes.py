@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from ._value import Value, set_field
 from .errors import InvalidInputError, ascii_integer, excerpt, integer
 
 __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
@@ -26,7 +27,7 @@ def _as_int(x, what="a slope entry"):
     return integer(x, what)
 
 
-class Slope:
+class Slope(Value):
     """A canonical coprime pair (p, q): the slope p/q, with 1/0 = infinity."""
 
     __slots__ = ("p", "q")
@@ -41,8 +42,8 @@ class Slope:
         q //= g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
 
     @classmethod
     def of_primitive(cls, p, q):
@@ -50,12 +51,9 @@ class Slope:
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
         self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Slope is immutable")
 
     @property
     def is_infinity(self):
@@ -87,14 +85,6 @@ class Slope:
 
     def __repr__(self):
         return f"Slope({self.p}, {self.q})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Slope):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __lt__(self, other):
         """Order by rational value, with infinity greatest.

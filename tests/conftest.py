@@ -75,6 +75,23 @@ def random_primitive_vector(rng, bound=20):
             return (x, y)
 
 
+def assert_frozen_value(value, same, text, fields):
+    """value is an immutable value with the given repr: equal to the distinct
+    same, hashed as the tuple of its fields but unequal to that tuple, and
+    none of its fields can be assigned or deleted."""
+    assert repr(value) == text
+    assert value is not same and value == same and not value != same
+    as_tuple = tuple(getattr(value, name) for name in fields)
+    assert hash(value) == hash(same) == hash(as_tuple)
+    assert value != as_tuple
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == as_tuple
+
+
 def slope_from_continued_fraction(quotients):
     """The slope [a0; a1, ..., ak] from its partial quotients."""
     p, q, p_prev, q_prev = 1, 0, 0, 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tests.conftest import (
+    assert_frozen_value,
     fraction_denominator,
     fraction_eigenslopes,
     fraction_mul,
@@ -15,6 +16,9 @@ from tests.conftest import (
 from toruscert import anosov
 from toruscert.anosov import (
     MAX_TRACE_INDEX,
+    ClassPowerBound,
+    PowerBoundReport,
+    PrefixDiagnostic,
     is_hyperbolic,
     power_bound,
     power_report_to_json,
@@ -316,3 +320,54 @@ def test_tail_search_cap_is_an_input_error(monkeypatch):
     monkeypatch.setattr(anosov, "_TAIL_SEARCH_CAP", tail)
     with pytest.raises(InvalidInputError):
         power_bound(SIGMA, IDENT, [k_map])
+
+
+def test_power_reports_are_frozen_values():
+    report = power_bound(SIGMA, IDENT, [ClassMap.identity()])
+    pc = report.per_class[0]
+    assert_frozen_value(
+        pc.prefix[0],
+        PrefixDiagnostic(0, Fraction(2), 1, False, rational_eigenslopes(IDENT)),
+        "PrefixDiagnostic(n=0, trace=Fraction(2, 1), denominator=1, "
+        "criterion_passed=False, eigenslopes=Eigenslopes(fixes_all=True, slopes=()))",
+        ("n", "trace", "denominator", "criterion_passed", "eigenslopes"),
+    )
+    pc_text = (
+        "ClassPowerBound(class_map=ClassMap(phi=UnimodularQ(Fraction(1, 1), "
+        "Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), type_pair=None, "
+        "complexity_bound=0, provenance='external', basis=None), n_class=1, "
+        "tail_index=0, tail_kind='growth', tail_traces=(Fraction(2, 1), "
+        "Fraction(3, 1)), d_k=1, prefix_traces=(2,), "
+        "prefix_eigenslopes=(Eigenslopes(fixes_all=True, slopes=()),))"
+    )
+    assert_frozen_value(
+        pc,
+        power_bound(SIGMA, IDENT, [ClassMap.identity()]).per_class[0],
+        pc_text,
+        ("class_map", "n_class", "tail_index", "tail_kind", "tail_traces", "d_k",
+         "prefix_traces", "prefix_eigenslopes"),
+    )
+    sigma_text = "UnimodularZ(Fraction(2, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))"
+    ident_text = "UnimodularZ(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
+    assert SIGMA == UnimodularZ(2, 1, 1, 1)
+    assert_frozen_value(
+        report,
+        PowerBoundReport(SIGMA, IDENT, (pc,), 1),
+        f"PowerBoundReport(sigma={sigma_text}, psi={ident_text}, "
+        f"per_class=({pc_text},), overall_n=1)",
+        ("sigma", "psi", "per_class", "overall_n"),
+    )
+
+
+def test_class_power_bound_keyword_construction():
+    fields = dict(
+        class_map=ClassMap.identity(), n_class=1, tail_index=0, tail_kind="growth",
+        tail_traces=(Fraction(2), Fraction(3)), d_k=1, prefix_traces=(2,),
+        prefix_eigenslopes=(rational_eigenslopes(IDENT),),
+    )
+    pc = ClassPowerBound(**fields)
+    assert pc == power_bound(SIGMA, IDENT, [ClassMap.identity()]).per_class[0]
+    assert pc.prefix[0].trace == 2 and pc.prefix[0].eigenslopes.fixes_all
+    del fields["prefix_eigenslopes"]
+    with pytest.raises(TypeError):
+        ClassPowerBound(**fields)

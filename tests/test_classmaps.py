@@ -1,8 +1,9 @@
 import pytest
 
-from tests.conftest import random_unimodular_z
+from tests.conftest import assert_frozen_value, random_unimodular_z
 from toruscert.classmaps import (
     ClassMap,
+    ThirdSurfaceCheck,
     build_from_single_slope,
     build_from_two_surfaces,
     class_count_bound,
@@ -146,6 +147,50 @@ def test_classmap_validation():
         ClassMap(UnimodularQ(1, 0, 0, 1), None, 0, "made-up")
     with pytest.raises(InvalidInputError):
         ClassMap(UnimodularQ(1, 0, 0, 1), (0, 1), 0, "external")
+
+
+@pytest.mark.parametrize(
+    "phi, type_pair",
+    [
+        (UnimodularQ(1, 0, 0, 1), 5),  # not a pair
+        (UnimodularQ(1, 0, 0, 1), [1, 2]),  # a list would make the map unhashable
+        ("not a matrix", None),
+    ],
+    ids=["int-type-pair", "list-type-pair", "string-phi"],
+)
+def test_classmap_rejects_a_bad_phi_or_type_pair(phi, type_pair):
+    with pytest.raises(InvalidInputError):
+        ClassMap(phi, type_pair, 0, "external")
+
+
+def test_class_maps_and_third_surface_checks_are_frozen_values():
+    phi = UnimodularQ(1, 0, 0, 1)
+    assert_frozen_value(
+        ClassMap.external(phi, (1, 2)),
+        ClassMap(phi=UnimodularQ(1, 0, 0, 1), type_pair=(1, 2), complexity_bound=0,
+                 provenance="external"),
+        "ClassMap(phi=UnimodularQ(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(1, 1)), type_pair=(1, 2), complexity_bound=0, provenance='external', "
+        "basis=None)",
+        ("phi", "type_pair", "complexity_bound", "provenance", "basis"),
+    )
+    cm = build_from_two_surfaces((1, 0), (0, 1), (1, 0), (0, 1))
+    assert_frozen_value(
+        verify_third_surface(cm, (2, 1), (2, 1)),
+        ThirdSurfaceCheck(mapped=True, det_identity_r=True, det_identity_s=True),
+        "ThirdSurfaceCheck(mapped=True, det_identity_r=True, det_identity_s=True)",
+        ("mapped", "det_identity_r", "det_identity_s"),
+    )
+
+
+def test_classmap_keyword_construction():
+    cm = ClassMap(
+        phi=UnimodularQ(1, 0, 0, 1), type_pair=None, complexity_bound=0,
+        provenance="external",
+    )
+    assert cm == ClassMap.identity() and cm.basis is None
+    with pytest.raises(TypeError):
+        ClassMap(UnimodularQ(1, 0, 0, 1), None, 0)
 
 
 def _two_surface_record(basis, phi=(("1", "0"), ("0", "1")), provenance="two-surface"):

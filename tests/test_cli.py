@@ -248,6 +248,27 @@ def test_anosov_power_loads_no_certify_module(identity_classes):
     assert not loaded & {"toruscert.certify", "hashlib"}
 
 
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("anosov", ("anosov", "power", "--sigma", "[[2,1],[1,1]]", "--psi", "[[1,0],[0,1]]",
+                    "--classes", "{classes}")),
+        ("anosov", ("anosov", "trace", "--sigma", "[[2,1],[1,1]]", "--k", "[[1,0],[0,1]]",
+                    "--n", "3")),
+        ("normal", ("normal", "intersect", "1,0,1", "0,1,1")),
+        ("normal", ("normal", "slope", "2,1,4")),
+        ("classmaps", ("classmap", "from-slopes", "--", "2/3", "-1/4")),
+        ("matrices", ("matrix", "eigenslopes", "[[1,1],[0,1]]")),
+        ("matrices", ("slope", "map", "[[2,1],[1,1]]", "2/3")),
+    ],
+    ids=lambda case: " ".join(case[:2]) if isinstance(case, tuple) else None,
+)
+def test_value_commands_load_no_dataclasses(module, argv, identity_classes):
+    loaded = loaded_modules(*(a.replace("{classes}", identity_classes) for a in argv))
+    assert f"toruscert.{module}" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_version_alone_loads_hashlib():
     loaded = loaded_modules("--version")
     assert "hashlib" in loaded

@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import (
     ancestor_geodesic,
+    assert_frozen_value,
     bfs_distance_map,
     bfs_distance_oracle,
     random_slope,
@@ -187,16 +188,12 @@ def test_farey_path_behaves_as_a_frozen_value():
     path = FareyPath([Slope(0, 1), Slope(1, 1)])  # a list is stored as a tuple
     same = FareyPath((Slope(0, 1), Slope(1, 1)))
     assert path.vertices == (Slope(0, 1), Slope(1, 1))
-    assert path == same and hash(path) == hash(same)
+    assert_frozen_value(
+        path, same, "FareyPath(vertices=(Slope(0, 1), Slope(1, 1)))", ("vertices",)
+    )
     assert path != FareyPath((Slope(0, 1),))
     assert path != (Slope(0, 1), Slope(1, 1))
     assert len({path, same}) == 1
-    assert repr(path) == "FareyPath(vertices=(Slope(0, 1), Slope(1, 1)))"
     assert copy.copy(path) == path
     with pytest.raises(AttributeError):
-        path.vertices = ()
-    with pytest.raises(AttributeError):
         path.other = 1
-    with pytest.raises(AttributeError):
-        del path.vertices
-    assert path.vertices == (Slope(0, 1), Slope(1, 1))

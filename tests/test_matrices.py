@@ -4,6 +4,7 @@ from math import gcd, isqrt
 import pytest
 
 from tests.conftest import (
+    assert_frozen_value,
     fixed_slope_scan,
     fraction_denominator,
     fraction_eigenslopes,
@@ -15,6 +16,7 @@ from tests.conftest import (
 )
 from toruscert.errors import InvalidInputError
 from toruscert.matrices import (
+    Eigenslopes,
     PrimitiveClass,
     UnimodularQ,
     UnimodularZ,
@@ -244,3 +246,43 @@ def test_primitive_class():
 def test_primitive_class_rejects_a_bool_multiplicity():
     with pytest.raises(InvalidInputError):
         PrimitiveClass(1, 0, True)
+
+
+def test_matrices_classes_and_eigenslopes_are_frozen_values():
+    assert_frozen_value(
+        UnimodularQ(2, 0, 0, Fraction(1, 2)),
+        UnimodularQ(Fraction(4, 2), 0, Fraction(0, 5), Fraction(2, 4)),
+        "UnimodularQ(Fraction(2, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 2))",
+        ("scaled", "_den"),
+    )
+    assert_frozen_value(
+        UnimodularZ(1, 1, 0, 1),
+        UnimodularZ(1, 1, 0, 1),
+        "UnimodularZ(Fraction(1, 1), Fraction(1, 1), Fraction(0, 1), Fraction(1, 1))",
+        ("scaled", "_den"),
+    )
+    assert_frozen_value(
+        PrimitiveClass(3, -2, 2),
+        PrimitiveClass.from_vector(6, -4),
+        "PrimitiveClass(3, -2, multiplicity=2)",
+        ("p", "q", "multiplicity"),
+    )
+    assert_frozen_value(
+        rational_eigenslopes(UnimodularZ(1, 1, 0, 1)),
+        Eigenslopes(False, (Slope(1, 0),)),
+        "Eigenslopes(fixes_all=False, slopes=(Slope(1, 0),))",
+        ("fixes_all", "slopes"),
+    )
+
+
+def test_rational_and_integer_matrices_with_equal_entries_are_equal():
+    q, z = UnimodularQ(1, 0, 0, 1), UnimodularZ(1, 0, 0, 1)
+    assert q == z and z == q and hash(q) == hash(z)
+    assert len({q, z}) == 1
+
+
+def test_eigenslopes_keyword_construction():
+    eig = Eigenslopes(fixes_all=True, slopes=())
+    assert eig == rational_eigenslopes(UnimodularZ(-1, 0, 0, -1))
+    with pytest.raises(TypeError):
+        Eigenslopes(fixes_all=True)

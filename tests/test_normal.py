@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import crossing_signs, trace_components
+from tests.conftest import assert_frozen_value, crossing_signs, trace_components
 from toruscert.errors import InvalidInputError, NoEssentialComponentError
 from toruscert.normal import (
+    CurveDecomposition,
     NormalCoordinates,
+    SignedIntersections,
     curve_types,
     decompose,
     from_slope,
@@ -232,3 +234,24 @@ def test_closed_form_matches_crossing_oracle_up_to_10_4_crossings(
     si = normal_sign_intersections(x, y)
     assert si.geometric == crossings * mults[0] * mults[1]
     assert (si.positives, si.negatives) == oracle_counts(x, y)
+
+
+def test_normal_values_are_frozen_values():
+    x = NormalCoordinates(2, 1, 4)
+    assert_frozen_value(
+        x, from_slope(Slope(4, 3), 1, 1), "NormalCoordinates(x1=2, x2=1, x3=4)",
+        ("x1", "x2", "x3"),
+    )
+    assert_frozen_value(
+        decompose(x),
+        CurveDecomposition(Slope(4, 3), 1, 1),
+        "CurveDecomposition(essential_slope=Slope(4, 3), essential_multiplicity=1, "
+        "trivial_count=1)",
+        ("essential_slope", "essential_multiplicity", "trivial_count"),
+    )
+    assert_frozen_value(
+        normal_sign_intersections(from_slope(Slope(1, 0)), from_slope(Slope(0, 1))),
+        SignedIntersections(positives=1, negatives=0),
+        "SignedIntersections(positives=1, negatives=0)",
+        ("positives", "negatives"),
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from tests.conftest import _primitive_crossings
+from tests.conftest import _primitive_crossings, assert_frozen_value
 from toruscert.errors import InvalidInputError
 from toruscert.slopes import INFINITY, Slope, intersection_number, slope_normalize
 
@@ -75,3 +75,8 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         s.p = 3
     assert len({Slope(1, 2), Slope(2, 4), Slope(-1, -2)}) == 1
+
+
+def test_slope_is_a_frozen_value():
+    assert_frozen_value(Slope(2, 3), Slope(-4, -6), "Slope(2, 3)", ("p", "q"))
+    assert_frozen_value(INFINITY, Slope(-7, 0), "Slope(1, 0)", ("p", "q"))
