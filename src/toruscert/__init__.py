@@ -87,7 +87,6 @@ _EXPORTS = {
             "NoEssentialComponentError",
             "BoundaryCountError",
             "DegenerateClassError",
-            "NoPathWithinBoundError",
         ),
     }.items()
     for name in names

@@ -52,7 +52,7 @@ from .matrices import (
     is_square,
     rational_eigenslopes,
 )
-from .serialize import format_fraction, format_ratio, matrix_to_json, slope_to_json
+from .serialize import eigenslopes_to_json, format_fraction, format_ratio, matrix_to_json
 
 __all__ = [
     "MAX_TRACE_INDEX",
@@ -253,12 +253,6 @@ def power_bound(sigma, psi, classes):
     )
 
 
-def _eigenslopes_json(eig):
-    if eig.fixes_all:
-        return "all"
-    return [slope_to_json(s) for s in eig.slopes]
-
-
 def _prefix_json(c):
     """The prefix entries of one class: each trace T/d takes one gcd."""
     d, bound = c.d_k, 2 * c.d_k * c.d_k
@@ -268,7 +262,7 @@ def _prefix_json(c):
             "trace": format_ratio(t, d),
             "denominator": d,
             "criterion_passed": not 2 <= abs(t) <= bound,
-            "eigenslopes": _eigenslopes_json(eig),
+            "eigenslopes": eigenslopes_to_json(eig),
         }
         for n, (t, eig) in enumerate(zip(c.prefix_traces, c.prefix_eigenslopes))
     ]

@@ -21,7 +21,7 @@ from .anosov import power_bound, power_report_to_json, scaled_trace_criterion
 from .classmaps import classmap_from_json, classmap_to_json
 from .errors import InvalidInputError, excerpt, integer
 from .matrices import UnimodularZ, compose, denominator, rational_eigenslopes
-from .serialize import matrix_from_json, matrix_to_json, slope_to_json
+from .serialize import field, list_field, matrix_from_json, matrix_to_json, slope_to_json
 from .slopes import Slope
 
 __all__ = [
@@ -268,31 +268,15 @@ def collection_report_to_json(report):
     }
 
 
-def _field(record, key, what):
-    """record[key], or InvalidInputError naming the report part that lacks it."""
-    if not isinstance(record, dict):
-        raise InvalidInputError(f"{what} must be a JSON object")
-    if key not in record:
-        raise InvalidInputError(f"{what} has no {key!r} field")
-    return record[key]
-
-
-def _list_field(record, key, what):
-    value = _field(record, key, what)
-    if not isinstance(value, list):
-        raise InvalidInputError(f"{what} field {key!r} must be a list")
-    return value
-
-
 def _parse_certificate_json(data):
     """The gluing, the class maps and the one search bound of a certificate."""
-    phi = matrix_from_json(_field(data, "gluing", "certificate"), integral=True)
+    phi = matrix_from_json(field(data, "gluing", "certificate"), integral=True)
     classes = []
     bounds = set()
-    for e in _list_field(data, "per_class", "certificate"):
-        classes.append(classmap_from_json(_field(e, "class_map", "per-class entry")))
-        result = _field(e, "result", "per-class entry")
-        bound = _field(result, "search_bound", "per-class result")
+    for e in list_field(data, "per_class", "certificate"):
+        classes.append(classmap_from_json(field(e, "class_map", "per-class entry")))
+        result = field(e, "result", "per-class entry")
+        bound = field(result, "search_bound", "per-class result")
         bounds.add(integer(bound, "search bound"))
     if not classes:
         raise InvalidInputError("certificate has no per-class entries")
@@ -306,14 +290,14 @@ def _recompute_certificate_json(data):
 
 
 def _recompute_collection_json(data):
-    orderings = _list_field(data, "orderings", "collection report")
+    orderings = list_field(data, "orderings", "collection report")
     if not orderings:
         raise InvalidInputError("collection report has no orderings")
     parsed = []
     bounds = set()
     for o in orderings:
-        label = _field(o, "label", "ordering")
-        certificates = _list_field(o, "certificates", "ordering")
+        label = field(o, "label", "ordering")
+        certificates = list_field(o, "certificates", "ordering")
         if not certificates:
             raise InvalidInputError(f"ordering {excerpt(label)} has no certificates")
         gluings = []
@@ -329,11 +313,11 @@ def _recompute_collection_json(data):
 
 def _recompute_power_report_json(data):
     what = "power-bound report"
-    sigma = matrix_from_json(_field(data, "sigma", what), integral=True)
-    psi = matrix_from_json(_field(data, "psi", what), integral=True)
+    sigma = matrix_from_json(field(data, "sigma", what), integral=True)
+    psi = matrix_from_json(field(data, "psi", what), integral=True)
     classes = [
-        classmap_from_json(_field(e, "class_map", "per-class entry"))
-        for e in _list_field(data, "per_class", what)
+        classmap_from_json(field(e, "class_map", "per-class entry"))
+        for e in list_field(data, "per_class", what)
     ]
     return power_report_to_json(power_bound(sigma, psi, classes))
 

@@ -19,9 +19,9 @@ from .errors import (
     excerpt,
     integer,
 )
-from .matrices import PrimitiveClass, UnimodularQ, compose, from_scaled
+from .matrices import PrimitiveClass, UnimodularQ, from_scaled
 from .normal import curve_types, from_slope
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import field, matrix_from_json, matrix_to_json
 from .slopes import Slope, _as_int, bezout
 
 __all__ = [
@@ -168,7 +168,7 @@ def build_from_two_surfaces(r1, s1, r2, s2, complexity_bound=0):
 
 
 def _complete_to_basis(s):
-    """Canonical integer matrix with first column the primitive vector of s.
+    """The columns (p, q) and (u, v) of the canonical basis completing s.
 
     Solves p v - q u = 1 with 0 <= u < |p| when p != 0; for the slope 0/1
     the analogous normalization 0 <= v < q gives u = -1, v = 0.
@@ -183,22 +183,21 @@ def _complete_to_basis(s):
         v = v0 + t * q
     else:
         u, v = -1, 0
-    return ((p, u), (q, v))
+    return (p, q), (u, v)
 
 
 def build_from_single_slope(tau1, tau2, complexity_bound=0):
     """Canonical determinant-one map sending the slope tau2 to tau1.
 
     Completes each slope's primitive vector to a unimodular basis by
-    extended Euclid with the minimal complement, and composes.  Any other
-    valid choice differs by a parabolic fixing tau1; this one is fixed so
-    certificates are reproducible.
+    extended Euclid with the minimal complement, and maps the second basis
+    to the first as build_from_two_surfaces does.  Any other valid choice
+    differs by a parabolic fixing tau1; this one is fixed so certificates
+    are reproducible.
     """
     b1 = _complete_to_basis(tau1)
     b2 = _complete_to_basis(tau2)
-    m1 = UnimodularQ(b1[0][0], b1[0][1], b1[1][0], b1[1][1])
-    m2 = UnimodularQ(b2[0][0], b2[0][1], b2[1][0], b2[1][1])
-    phi = compose(m1, m2.invert())
+    phi = from_scaled(*_basis_map(*b1, *b2))
     type1 = min(curve_types(from_slope(tau1)))
     type2 = min(curve_types(from_slope(tau2)))
     return ClassMap(phi, (type1, type2), complexity_bound, "single-slope")
@@ -276,11 +275,7 @@ def classmap_to_json(cm):
 
 
 def classmap_from_json(record):
-    if not isinstance(record, dict) or "phi" not in record:
-        raise InvalidInputError(
-            f"class map record must have a 'phi' key: {excerpt(record)}"
-        )
-    phi = matrix_from_json(record["phi"])
+    phi = matrix_from_json(field(record, "phi", "class map record"))
     type_pair = record.get("type_pair")
     if type_pair is not None:
         if not isinstance(type_pair, list) or len(type_pair) != 2:

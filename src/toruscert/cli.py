@@ -32,35 +32,34 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DISTANCE_ZERO = 2
 
-STATUS_EXIT = {
-    "ok": EXIT_OK,
-    "certified": EXIT_OK,
-    "distance-zero": EXIT_DISTANCE_ZERO,
-}
+
+def _reject_float(text):
+    raise InvalidInputError(
+        f"floating-point value {excerpt(float(text))} rejected: inputs must be exact"
+    )
+
+
+def _decode(source, path=None):
+    """The JSON value of a matrix argument, or of the text file open at path.
+
+    Floats, NaN and infinities are refused while the text is parsed.
+    """
+    try:
+        text = source if path is None else source.read()
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except InvalidInputError:  # a float, which is a ValueError too
+        raise
+    # Not UTF-8 or not JSON, an int past the digit limit, or nested too deeply.
+    except (ValueError, RecursionError) as exc:
+        if path is None:
+            raise InvalidInputError(f"malformed matrix JSON {excerpt(source)}") from exc
+        raise InvalidInputError(f"malformed JSON in {excerpt(path)}: {exc}") from exc
 
 
 def _parse_matrix(text, integral=False):
     from .serialize import matrix_from_json
 
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InvalidInputError(f"malformed matrix JSON {excerpt(text)}") from exc
-    _reject_floats(data)
-    return matrix_from_json(data, integral=integral)
-
-
-def _reject_floats(data):
-    if isinstance(data, float):
-        raise InvalidInputError(
-            f"floating-point value {excerpt(data)} rejected: inputs must be exact"
-        )
-    if isinstance(data, list):
-        for item in data:
-            _reject_floats(item)
-    if isinstance(data, dict):
-        for value in data.values():
-            _reject_floats(value)
+    return matrix_from_json(_decode(text), integral=integral)
 
 
 def _parse_ints(text, form):
@@ -77,13 +76,9 @@ def _parse_ints(text, form):
 def _load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return _decode(handle, path)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {excerpt(path)}: {exc.strerror}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise InvalidInputError(f"malformed JSON in {excerpt(path)}: {exc}") from exc
-    _reject_floats(data)
-    return data
 
 
 def _load_classes(path):
@@ -97,12 +92,6 @@ def _load_classes(path):
             f"{excerpt(path)}: class file must be a record or a list"
         )
     return [classmap_from_json(record) for record in data]
-
-
-def _records(value, what):
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise InvalidInputError(f"{what} must be a list of JSON objects")
-    return value
 
 
 def _default_bound():
@@ -119,7 +108,7 @@ def _default_bound():
         ) from exc
 
 
-# --- handlers: each returns (payload, status) ------------------------------
+# --- handlers: each returns (payload, exit code) ---------------------------
 
 def _cmd_farey_dist(args):
     from .farey import distance
@@ -127,7 +116,7 @@ def _cmd_farey_dist(args):
 
     s = Slope.parse(args.s)
     t = Slope.parse(args.t)
-    return {"distance": distance(s, t)}, "ok"
+    return {"distance": distance(s, t)}, EXIT_OK
 
 
 def _cmd_farey_path(args):
@@ -137,7 +126,7 @@ def _cmd_farey_path(args):
     s = Slope.parse(args.s)
     t = Slope.parse(args.t)
     path = geodesic(s, t)
-    return {"distance": path.length, "path": [str(v) for v in path.vertices]}, "ok"
+    return {"distance": path.length, "path": [str(v) for v in path.vertices]}, EXIT_OK
 
 
 def _cmd_slope_map(args):
@@ -147,20 +136,15 @@ def _cmd_slope_map(args):
 
     m = _parse_matrix(args.matrix)
     s = Slope.parse(args.slope)
-    return {"image": slope_to_json(lft_apply(m, s))}, "ok"
+    return {"image": slope_to_json(lft_apply(m, s))}, EXIT_OK
 
 
 def _cmd_matrix_eigenslopes(args):
     from .matrices import rational_eigenslopes
-    from .serialize import slope_to_json
+    from .serialize import eigenslopes_to_json
 
     m = _parse_matrix(args.matrix)
-    eig = rational_eigenslopes(m)
-    if eig.fixes_all:
-        payload = {"eigenslopes": "all"}
-    else:
-        payload = {"eigenslopes": [slope_to_json(s) for s in eig.slopes]}
-    return payload, "ok"
+    return {"eigenslopes": eigenslopes_to_json(rational_eigenslopes(m))}, EXIT_OK
 
 
 def _cmd_normal_slope(args):
@@ -173,7 +157,7 @@ def _cmd_normal_slope(args):
         "slope": str(s),
         "multiplicity": dec.essential_multiplicity,
         "trivial": dec.trivial_count,
-    }, "ok"
+    }, EXIT_OK
 
 
 def _cmd_normal_coords(args):
@@ -182,7 +166,7 @@ def _cmd_normal_coords(args):
 
     s = Slope.parse(args.slope)
     x = from_slope(s, args.mult, args.trivial)
-    return {"coordinates": list(x.triple())}, "ok"
+    return {"coordinates": list(x.triple())}, EXIT_OK
 
 
 def _cmd_normal_intersect(args):
@@ -196,7 +180,7 @@ def _cmd_normal_intersect(args):
         "negatives": si.negatives,
         "algebraic": si.algebraic,
         "geometric": si.geometric,
-    }, "ok"
+    }, EXIT_OK
 
 
 def _cmd_classmap_from_surfaces(args):
@@ -206,7 +190,7 @@ def _cmd_classmap_from_surfaces(args):
         *(_parse_ints(v, "p,q") for v in (args.r1, args.s1, args.r2, args.s2)),
         complexity_bound=args.complexity,
     )
-    return classmap_to_json(cm), "ok"
+    return classmap_to_json(cm), EXIT_OK
 
 
 def _cmd_classmap_from_slopes(args):
@@ -218,7 +202,7 @@ def _cmd_classmap_from_slopes(args):
         Slope.parse(args.tau2),
         complexity_bound=args.complexity,
     )
-    return classmap_to_json(cm), "ok"
+    return classmap_to_json(cm), EXIT_OK
 
 
 def _cmd_certify_gluing(args):
@@ -228,39 +212,33 @@ def _cmd_certify_gluing(args):
     classes = _load_classes(args.classes)
     bound = args.bound if args.bound is not None else _default_bound()
     cert = c_distance(phi, classes, bound)
-    payload = certificate_to_json(cert)
-    status = "certified" if cert.c_distance_lower_bound >= 1 else "distance-zero"
-    return payload, status
+    code = EXIT_OK if cert.c_distance_lower_bound >= 1 else EXIT_DISTANCE_ZERO
+    return certificate_to_json(cert), code
 
 
 def _cmd_certify_collection(args):
     from .certify import collection_distance, collection_report_to_json
     from .classmaps import classmap_from_json
-    from .serialize import matrix_from_json
+    from .serialize import field, list_field, matrix_from_json
 
     spec = _load_json_file(args.spec)
-    if not isinstance(spec, dict) or "orderings" not in spec:
-        raise InvalidInputError("collection spec must have an 'orderings' list")
+    entries = list_field(spec, "orderings", "collection spec")
     bound = args.bound if args.bound is not None else spec.get("search_bound")
     if bound is None:
         bound = _default_bound()
     orderings = []
-    for entry in _records(spec["orderings"], "collection spec 'orderings'"):
-        label = entry.get("label", f"ordering-{len(orderings)}")
+    for entry in entries:
+        label = field(entry, "label", "ordering", f"ordering-{len(orderings)}")
         quoted = excerpt(label)
+        what = f"a gluing of {quoted}"
         gluings = []
-        for g in _records(entry.get("gluings", []), f"gluings of {quoted}"):
-            if "phi" not in g:
-                raise InvalidInputError(f"a gluing of {quoted} has no 'phi' matrix")
-            phi = matrix_from_json(g["phi"], integral=True)
-            classes = [
-                classmap_from_json(r)
-                for r in _records(g.get("classes", []), f"classes of {quoted}")
-            ]
+        for g in list_field(entry, "gluings", f"ordering {quoted}", []):
+            phi = matrix_from_json(field(g, "phi", what), integral=True)
+            classes = [classmap_from_json(r) for r in list_field(g, "classes", what, [])]
             gluings.append((phi, classes))
         orderings.append((label, gluings))
     report = collection_distance(orderings, bound)
-    return collection_report_to_json(report), "ok"
+    return collection_report_to_json(report), EXIT_OK
 
 
 def _cmd_certify_verify(args):
@@ -268,7 +246,7 @@ def _cmd_certify_verify(args):
 
     if not verify_report(_load_json_file(args.report)):
         raise InvalidInputError("report does not match its recomputation")
-    return {"verified": True}, "ok"
+    return {"verified": True}, EXIT_OK
 
 
 def _cmd_anosov_power(args):
@@ -278,7 +256,7 @@ def _cmd_anosov_power(args):
     psi = _parse_matrix(args.psi, integral=True)
     classes = _load_classes(args.classes)
     report = power_bound(sigma, psi, classes)
-    return power_report_to_json(report), "ok"
+    return power_report_to_json(report), EXIT_OK
 
 
 def _cmd_anosov_trace(args):
@@ -288,7 +266,7 @@ def _cmd_anosov_trace(args):
     sigma = _parse_matrix(args.sigma, integral=True)
     k = _parse_matrix(args.k)
     traces = trace_sequence(sigma, k, args.n)
-    return {"traces": [format_fraction(t) for t in traces]}, "ok"
+    return {"traces": [format_fraction(t) for t in traces]}, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,7 +412,7 @@ def main(argv=None):
     args = None
     try:
         args = parser.parse_args(argv)
-        payload, status = args.handler(args)
+        payload, code = args.handler(args)
         text = _dump(payload, args.pretty)
     except InvalidInputError as exc:
         pretty = args is not None and args.pretty
@@ -444,7 +422,7 @@ def main(argv=None):
         )
         return EXIT_INVALID
     print(text)
-    return STATUS_EXIT[status]
+    return code
 
 
 if __name__ == "__main__":

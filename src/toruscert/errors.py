@@ -3,7 +3,8 @@
 Everything the CLI maps to exit code 1 derives from InvalidInputError, so
 library users can catch one type and commands can classify failures without
 string matching.  integer() and ascii_integer() (for text) are the rules
-for integer inputs, and excerpt() quotes every outside value an error shows.
+for integer inputs, ascii_ratio() for "p/q" text, and excerpt() quotes
+every outside value an error shows.
 """
 
 import re
@@ -24,10 +25,6 @@ class BoundaryCountError(InvalidInputError):
 
 class DegenerateClassError(InvalidInputError):
     """Two-surface construction attempted with dependent boundary classes."""
-
-
-class NoPathWithinBoundError(InvalidInputError):
-    """BFS oracle target unreachable inside the coordinate bound."""
 
 
 def shorten(text, limit=40):
@@ -105,3 +102,9 @@ def ascii_integer(text):
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         pass
     raise InvalidInputError(f"not a printable decimal integer: {excerpt(text)}")
+
+
+def ascii_ratio(text):
+    """(p, q) from "p/q" or "p" (q = 1) of ASCII integers, else InvalidInputError."""
+    num, slash, den = text.partition("/")
+    return ascii_integer(num), ascii_integer(den) if slash else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError, ascii_integer, digit_limit_error, excerpt
+from .errors import InvalidInputError, ascii_ratio, digit_limit_error, excerpt
 from .matrices import denominator, from_scaled
 from .slopes import Slope
 
@@ -22,7 +22,12 @@ __all__ = [
     "matrix_from_json",
     "slope_to_json",
     "slope_from_json",
+    "eigenslopes_to_json",
+    "field",
+    "list_field",
 ]
+
+_REQUIRED = object()
 
 
 def _format_ratio(num, den):
@@ -53,10 +58,8 @@ def _parse_ratio(value):
     if isinstance(value, int):
         return value, 1
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
         try:
-            p = ascii_integer(num)
-            q = ascii_integer(den) if slash else 1
+            p, q = ascii_ratio(value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"malformed rational {excerpt(value)}") from exc
         if q == 0:
@@ -104,3 +107,29 @@ def slope_from_json(value):
     if not isinstance(value, str):
         raise InvalidInputError(f"slope must be a 'p/q' string, got {excerpt(value)}")
     return Slope.parse(value)
+
+
+def eigenslopes_to_json(eig):
+    """"all" when every slope is fixed, else the list of eigenslopes."""
+    if eig.fixes_all:
+        return "all"
+    return [slope_to_json(s) for s in eig.slopes]
+
+
+def field(record, key, what, default=_REQUIRED):
+    """record[key], or default if given, else InvalidInputError naming what lacks it."""
+    if not isinstance(record, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    if key in record:
+        return record[key]
+    if default is _REQUIRED:
+        raise InvalidInputError(f"{what} has no {key!r} field")
+    return default
+
+
+def list_field(record, key, what, default=_REQUIRED):
+    """field(record, key, what, default), which must be a list."""
+    value = field(record, key, what, default)
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} field {key!r} must be a list")
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value, set_field
-from .errors import InvalidInputError, ascii_integer, excerpt, integer
+from .errors import InvalidInputError, ascii_ratio, excerpt, integer
 
 __all__ = ["Slope", "slope_normalize", "intersection_number", "bezout", "INFINITY"]
 
@@ -75,8 +75,7 @@ class Slope(Value):
     def parse(cls, text):
         """Parse "p/q" or "p" of ASCII integers; "1/0" is infinity."""
         try:
-            num, slash, den = text.partition("/")
-            return cls(ascii_integer(num), ascii_integer(den) if slash else 1)
+            return cls(*ascii_ratio(text))
         except ValueError as exc:
             raise InvalidInputError(f"malformed slope {excerpt(text)}") from exc
 

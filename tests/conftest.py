@@ -14,7 +14,7 @@ import pytest
 from toruscert._kernels_py import _slope_box, farey_distance
 from toruscert.anosov import PrefixDiagnostic, scaled_trace_criterion
 from toruscert.classmaps import classmap_to_json
-from toruscert.errors import InvalidInputError, NoPathWithinBoundError
+from toruscert.errors import InvalidInputError
 from toruscert.farey import FareyPath, is_edge
 from toruscert.matrices import (
     Eigenslopes,
@@ -639,6 +639,10 @@ def bfs_distance_map(s, bound):
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+class NoPathWithinBoundError(InvalidInputError):
+    """BFS oracle target unreachable inside the coordinate bound."""
 
 
 def bfs_distance_oracle(s, t, bound):

@@ -1,8 +1,11 @@
+from math import gcd
+
 import pytest
 
 from tests.conftest import assert_frozen_value, random_unimodular_z
 from toruscert.classmaps import (
     ClassMap,
+    _complete_to_basis,
     ThirdSurfaceCheck,
     build_from_single_slope,
     build_from_two_surfaces,
@@ -16,7 +19,7 @@ from toruscert.errors import (
     DegenerateClassError,
     InvalidInputError,
 )
-from toruscert.matrices import UnimodularQ, lft_apply
+from toruscert.matrices import UnimodularQ, compose, lft_apply
 from toruscert.slopes import Slope
 
 
@@ -93,6 +96,26 @@ def test_single_slope_postcondition_random(rng):
         cm = build_from_single_slope(t1, t2)
         assert lft_apply(cm.phi, t2) == t1
         assert cm.provenance == "single-slope"
+
+
+def test_single_slope_map_matches_the_composed_bases():
+    """Oracle: the first completed basis times the inverse of the second."""
+    box = [
+        Slope(p, q)
+        for p in range(-10, 11)
+        for q in range(11)
+        if gcd(p, q) == 1 and (q > 0 or p == 1)
+    ]
+    bases = {}
+    for s in box:
+        (p, q), (u, v) = _complete_to_basis(s)
+        bases[s] = UnimodularQ(p, u, q, v)
+    for t1 in box:
+        for t2 in box:
+            phi = build_from_single_slope(t1, t2).phi
+            oracle = compose(bases[t1], bases[t2].invert())
+            assert type(phi) is type(oracle)
+            assert (phi.scaled, phi._den) == (oracle.scaled, oracle._den)
 
 
 def test_third_surface_checks(rng):

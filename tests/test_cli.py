@@ -248,6 +248,12 @@ def test_anosov_power_loads_no_certify_module(identity_classes):
     assert not loaded & {"toruscert.certify", "hashlib"}
 
 
+def test_matrix_eigenslopes_loads_no_anosov_or_certify_module():
+    loaded = loaded_modules("matrix", "eigenslopes", "[[1,0],[0,1]]")
+    assert "toruscert.serialize" in loaded
+    assert not loaded & {"toruscert.anosov", "toruscert.certify", "hashlib"}
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [

@@ -9,6 +9,8 @@ argparse and --pretty spreads JSON over several lines, so they stay out.
 import copy
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -307,3 +309,85 @@ def test_cli_contract_holds_on_malformed_argv_and_files(
 ):
     monkeypatch.delenv("TORUSCERT_SEARCH_BOUND", raising=False)
     check_contract(*run(*case, tmp_path, capsys))
+
+
+# --- nesting and floats -------------------------------------------------------
+
+# The recursion limit leaves a window of only a few depths where a document
+# decodes but a later step that walks it does not, so the sweep takes every
+# depth around the limit.
+DEPTHS = [1, 10, 100, *range(850, 1051), 100_000]
+
+
+def nested(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
+def with_deep(value):
+    """value as JSON text, with {deep} in place of each "@" string."""
+    return json.dumps(value).replace('"@"', "{deep}")
+
+
+LABELLED = {"label": "@", "gluings": [{"phi": IDENTITY, "classes": [{"phi": IDENTITY}]}]}
+NESTED = {
+    "matrix-argument": (["matrix", "eigenslopes", "{deep}"], {}),
+    "class-file": (GLUING, {"classes": with_deep([{"phi": "@"}])}),
+    "spec": (
+        ["certify", "collection", "--spec", "{spec}"],
+        {"spec": with_deep({"orderings": [{"label": "L", "gluings": [{"phi": "@"}]}]})},
+    ),
+    "spec-label": (
+        ["certify", "collection", "--spec", "{spec}", "--bound", "1"],
+        {"spec": with_deep({"orderings": [LABELLED]})},
+    ),
+    "report": (
+        ["certify", "verify", "{report}"],
+        {"report": with_deep(dict(CERTIFICATE, gluing="@"))},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files", NESTED.values(), ids=NESTED.keys())
+def test_nested_documents_keep_the_contract_at_every_depth(argv, files, tmp_path, capsys):
+    for depth in DEPTHS:
+        deep = nested(depth)
+        case_argv = [arg.replace("{deep}", deep) for arg in argv]
+        case_files = {name: text.replace("{deep}", deep) for name, text in files.items()}
+        try:
+            check_contract(*run(case_argv, case_files, tmp_path, capsys))
+        except (AssertionError, RecursionError) as exc:
+            raise AssertionError(f"nesting depth {depth}") from exc
+
+
+def test_a_class_file_nested_100000_deep_exits_1_in_a_fresh_process(tmp_path):
+    path = tmp_path / "classes.json"
+    path.write_text(nested(100_000))
+    argv = ["certify", "gluing", "--phi", "[[0,1],[-1,0]]", "--classes", str(path)]
+    r = subprocess.run(
+        [sys.executable, "-m", "toruscert.cli", *argv], capture_output=True, text=True
+    )
+    check_contract(r.returncode, r.stdout, r.stderr)
+    assert r.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "literal, shown", [("1.5", "1.5"), ("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf")]
+)
+def test_floats_are_refused_with_the_exact_message(literal, shown, tmp_path, capsys):
+    error = (
+        f'{{"error":"floating-point value {shown} rejected: inputs must be exact",'
+        '"status":"invalid-input"}\n'
+    )
+    matrix = f"[[{literal},0],[0,1]]"
+    for argv, files in [
+        (["matrix", "eigenslopes", matrix], {}),
+        (GLUING, {"classes": f'[{{"phi": {matrix}}}]'}),
+    ]:
+        assert run(argv, files, tmp_path, capsys) == (1, "", error)
+
+
+def test_a_float_hidden_by_a_duplicate_key_is_refused(tmp_path, capsys):
+    files = {"classes": '[{"phi": [[1, 0], [0, 1]], "a": 1.5, "a": 1}]'}
+    code, out, err = run(GLUING, files, tmp_path, capsys)
+    check_contract(code, out, err)
+    assert code == 1 and "floating-point value 1.5" in err
